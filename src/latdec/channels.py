@@ -93,7 +93,6 @@ class ChannelInstance:
     code: LatticeCode
     x_true: np.ndarray
     received: np.ndarray
-    noise_var: float = 1.0
     info_len: int | None = None  # symbols carrying information (BER); None = all
 
     def transmitted(self):
@@ -107,7 +106,6 @@ class ChannelInstance:
             "info_set": {"kind": self.code.info_set.kind, "q": self.code.info_set.q},
             "x_true": self.x_true.tolist(),
             "received": self.received.tolist(),
-            "noise_var": self.noise_var,
             "info_len": self.info_len,
         }
         if self.code.info_set.kind == "explicit":
@@ -128,7 +126,6 @@ class ChannelInstance:
         return cls(H=np.asarray(rec["H"], dtype=float), code=code,
                    x_true=np.asarray(rec["x_true"], dtype=int),
                    received=np.asarray(rec["received"], dtype=float),
-                   noise_var=rec.get("noise_var", 1.0),
                    info_len=rec.get("info_len"))
 
 

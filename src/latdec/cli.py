@@ -91,17 +91,10 @@ def cmd_decode(args):
         problem = form_tree(inst.received, inst.H, inst.code, left_mode=pre.left,
                             right_mode=pre.right, boundary=pre.boundary,
                             lll_delta=pre.lll_delta, lll_deep=pre.lll_deep)
-    if args.trace and dec.name not in ("ml",):
-        from . import search
-        if dec.name == "fano":
-            out = search.fano_decode(problem, bias=dec.bias, step=dec.step,
-                                     collect_trace=True)
-        else:
-            out = search.gbb_run(problem, sim._policy_for(dec, problem.m),
-                                 collect_trace=True)
-        for line in trace_lines(out.trace):
+    res = sim.decode_frame(inst, problem, dec, trace=args.trace)
+    if res.trace is not None:
+        for line in trace_lines(res.trace):
             print(line)
-    res = sim.decode_frame(inst, problem, dec)
     result = {
         "decoded_info": [int(v) for v in res.info],
         "x_true": [int(v) for v in inst.x_true],

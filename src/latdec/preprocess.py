@@ -103,7 +103,6 @@ def right_preprocess(A, mode="none", lll_delta=0.99, lll_deep=False):
         raise ValueError(f"unknown right preprocessing mode {mode!r}")
     record = UnimodularRecord.identity(m)
     work = A
-    perm = list(range(m))
     if mode in ("lll", "lll+permute"):
         work, record = lll_reduce(A, delta=lll_delta, deep=lll_deep)
     if mode in ("permute", "lll+permute"):
@@ -115,7 +114,7 @@ def right_preprocess(A, mode="none", lll_delta=0.99, lll_deep=False):
         Q, R = np.eye(m), work  # already upper triangular, QR is trivial
     else:
         Q, R = qr_decompose(work)
-    return Q, R, record, perm
+    return Q, R, record
 
 
 @dataclass
@@ -123,31 +122,19 @@ class BackMap:
     """Inverse bookkeeping from search labels to information symbols."""
 
     record: UnimodularRecord
-    permutation: list
-    translate: np.ndarray
-    code_generator: np.ndarray
-    info_set: object
-
-
-@dataclass
-class BackMapResult:
-    info: np.ndarray
-    codeword: np.ndarray
-    in_set: bool
 
 
 def apply_back_map(label, back_map):
-    """Map a search label back to the information vector and its codeword.
+    """Map a search label back to the information vector (an int array).
 
     The label is in level order (level 1 first); the integer inverse of the
-    basis change is applied exactly.  Labels that land outside the code's
-    information set are returned as-is with in_set False.
+    basis change is applied exactly.  Lattice decoding does not enforce the
+    code's information set, so the result may lie outside it; such a vector
+    differs from every transmitted one and counts as a frame error.
     """
     z = np.array(list(label)[::-1], dtype=object)  # physical coordinate order
     info = back_map.record.T_inv @ z
-    info = np.array([int(v) for v in info], dtype=int)
-    codeword = back_map.code_generator @ info.astype(float) + back_map.translate
-    return BackMapResult(info=info, codeword=codeword, in_set=back_map.info_set.contains(info))
+    return np.array([int(v) for v in info], dtype=int)
 
 
 @dataclass
@@ -192,23 +179,24 @@ def node_metric(problem, label):
 
 @dataclass
 class TreePlan:
-    """Receiver-side preprocessing of (H, code); reusable across received frames."""
+    """Receiver-side preprocessing of (H, code); reusable across received frames.
 
-    Q1: np.ndarray
-    R1: np.ndarray
-    Q2: np.ndarray
+    problem_for maps a received vector r to y = forward @ r - offset: the
+    left filter and the final rotation folded into one matrix, and the
+    code's translate carried through both.
+    """
+
     R: np.ndarray
     back_map: BackMap
     boundary_q: int | None
-    _w: np.ndarray = None  # combined forward map received -> y
-    _b: np.ndarray = None
-
-    def __post_init__(self):
-        self._w = self.Q2.T @ self.Q1.T
-        self._b = self.Q2.T @ (self.R1 @ self.back_map.translate)
+    forward: np.ndarray
+    offset: np.ndarray
 
     def problem_for(self, received):
-        y = self._w @ np.asarray(received, dtype=float) - self._b
+        received = np.asarray(received, dtype=float)
+        if not np.isfinite(received).all():
+            raise ValueError("received: non-finite entries")
+        y = self.forward @ received - self.offset
         return TreeProblem(R=self.R, y=y, back_map=self.back_map, boundary_q=self.boundary_q)
 
 
@@ -216,6 +204,8 @@ def prepare_tree(H, code: LatticeCode, left_mode="mmse", right_mode="none",
                  boundary="lattice", lll_delta=0.99, lll_deep=False):
     """Run the channel-dependent preprocessing once; see form_tree."""
     H = np.asarray(H, dtype=float)
+    if not np.isfinite(H).all():
+        raise ValueError("H: non-finite entries")
     m = H.shape[1]
     if code.dim != m:
         raise DimensionMismatch(f"code dimension {code.dim} != channel columns {m}")
@@ -231,11 +221,10 @@ def prepare_tree(H, code: LatticeCode, left_mode="mmse", right_mode="none",
             raise IncompatibleBoundary("constrained search needs a hypercube information set")
     lp = left_preprocess(H, left_mode)
     B = lp.R1 @ code.generator
-    Q2, R, record, perm = right_preprocess(B, right_mode, lll_delta=lll_delta, lll_deep=lll_deep)
-    back_map = BackMap(record=record, permutation=perm, translate=code.translate,
-                       code_generator=code.generator, info_set=code.info_set)
+    Q2, R, record = right_preprocess(B, right_mode, lll_delta=lll_delta, lll_deep=lll_deep)
     boundary_q = code.info_set.q if boundary == "constrained" else None
-    return TreePlan(Q1=lp.Q1, R1=lp.R1, Q2=Q2, R=R, back_map=back_map, boundary_q=boundary_q)
+    return TreePlan(R=R, back_map=BackMap(record), boundary_q=boundary_q,
+                    forward=Q2.T @ lp.Q1.T, offset=Q2.T @ (lp.R1 @ code.translate))
 
 
 def form_tree(received, H, code: LatticeCode, left_mode="mmse", right_mode="none",

@@ -1,10 +1,16 @@
 """Tree search engine for upper-triangular integer least-squares problems.
 
-One generic branch-and-bound loop covers every decoder here; a decoder is
-a SearchPolicy bundle of:
+One generic branch-and-bound loop (gbb_run) covers every decoder here.  It
+inspects the top node of the ACTIVE list: a leaf updates the incumbent and
+tightens the bound (rule g1); an invalid node (path metric beyond its
+level's bound) and an exhausted node (no child left within the bound) are
+removed; otherwise the node generates exactly one more child, the counter
+and rule g2 are applied, and the list is re-sorted.  A decoder is a
+SearchPolicy bundle of:
 
   * a sort rule for the ACTIVE list ("lifo" depth-first, "fifo" breadth-
-    first, "cost" best-first, "level-cost" breadth-first by level);
+    first, "cost" best-first, "level-cost" breadth-first by level), each one
+    small class: a deque, a cost heap, or a level heap that applies g2;
   * a child generation order ("se" zigzag around the unconstrained
     minimizer, "vb" ascending from the low end of the admissible interval);
   * a bounding vector t (per level, +inf allowed) with a strict or
@@ -12,11 +18,17 @@ a SearchPolicy bundle of:
   * tightening rules: g1 shrinks the bound when a leaf is reached
     ("min"), g2 implements the per-level pruning of the M- and
     T-algorithms;
-  * a bias b used by the best-first cost f = path_metric - b * level.
+  * a bias b used by the best-first cost f = path_metric - b * level;
+  * first_leaf_exit: the first leaf on top ends the search (Babai, stack).
 
-The iterative, memory-free variant of the best-first search (the Fano
-decoder) is implemented separately in fano_decode; it revisits nodes as
-its threshold moves in multiples of the step size.
+Children come from one lazy generator per node (_Children) that yields the
+next-level coordinates in the policy's order, each with its level metric.
+The same generator serves gbb_run, the Fano decoder, se_child_order and
+child_interval.  The memory-free Fano decoder (fano_decode) keeps only the
+current path, one generator per level, and revisits nodes as its threshold
+moves in multiples of the step size.  Every search returns through one
+epilogue (_finish): the Babai fallback on a budget hit, EmptySearchSpace
+when no leaf was found, and the SearchOutcome.
 
 Complexity is counted in node generations: the root counts as one, and the
 counter increments once per child placed in ACTIVE.  For the Fano decoder
@@ -30,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from .errors import EmptySearchSpace
-from .preprocess import TreeProblem, node_metric  # canonical metric helpers
+from .preprocess import TreeProblem
 
 INF = math.inf
 
@@ -71,115 +83,70 @@ def _boxed_se_order(c, q):
     return out
 
 
-class _Node:
-    __slots__ = ("label", "level", "g", "resid", "diag", "gen_kind", "gen_state",
-                 "f", "seq", "dead", "version")
+class _Children:
+    """Lazy generator of the children of the node with partial label `label`.
 
-    def __init__(self, label, level, g):
-        self.label = label
-        self.level = level
-        self.g = g
-        self.resid = None
-        self.diag = None
-        self.gen_kind = None
-        self.gen_state = None
-        self.f = g
-        self.seq = 0
-        self.dead = False
-        self.version = 0
+    Children are coordinates x of the next label symbol, each with its level
+    metric w = (resid - diag * x)^2.  Order "se" is the Schnorr-Euchner
+    zigzag around resid / diag: all of {0..Q-1} when the problem is boxed,
+    an endless stream otherwise; w never decreases along it.  Order "vb"
+    ascends over the Pohst interval of the remaining budget `rem` (the box
+    when rem is infinite).  `rank` is the position of the next child; the
+    caller advances it to consume that child.
+    """
 
+    __slots__ = ("resid", "diag", "order", "zigzag", "a", "delta", "rank")
 
-def _child_residual(problem, node):
-    """Residual and diagonal of the child level; cached on the node."""
-    if node.resid is None:
-        row = problem.lev_rows[node.level]
-        s = problem.lev_y[node.level]
-        label = node.label
-        for j in range(node.level):
-            s -= row[j] * label[j]
-        node.resid = s
-        node.diag = row[node.level]
-    return node.resid, node.diag
-
-
-def _init_gen(problem, node, gen, budget):
-    resid, diag = _child_residual(problem, node)
-    q = problem.boundary_q
-    c = resid / diag
-    if gen == "se":
-        if q is None:
-            a = _nearest_int(c)
-            delta = 1 if (c - a) >= 0 else -1
-            node.gen_kind = "se_free"
-            node.gen_state = [a, delta, 0]        # a, delta, next rank
-        else:
-            node.gen_kind = "se_box"
-            node.gen_state = [_boxed_se_order(c, q), 0]
-    else:  # "vb"
-        if budget == INF and q is None:
-            raise ValueError("interval generation needs a finite bound or a box")
-        if budget == INF:
-            lo, hi = 0, q - 1
-        else:
-            rem = budget - node.g
-            if rem < 0:
-                lo, hi = 0, -1
+    def __init__(self, problem, label, gen="se", rem=INF):
+        k = len(label)
+        row = problem.lev_rows[k]
+        resid = problem.lev_y[k]
+        for j in range(k):
+            resid -= row[j] * label[j]
+        diag = row[k]
+        q = problem.boundary_q
+        self.resid, self.diag, self.rank = resid, diag, 0
+        self.zigzag = zigzag = gen == "se"
+        self.order = None  # explicit coordinate sequence, or None for the free zigzag
+        if zigzag:
+            c = resid / diag
+            if q is None:
+                self.a = _nearest_int(c)
+                self.delta = 1 if (c - self.a) >= 0 else -1
             else:
-                s = math.sqrt(rem)
-                lo = math.ceil((resid - s) / diag)
-                hi = math.floor((resid + s) / diag)
-                if q is not None:
-                    lo = max(lo, 0)
-                    hi = min(hi, q - 1)
-        node.gen_kind = "vb"
-        node.gen_state = [lo, hi]
+                self.order = _boxed_se_order(c, q)
+        elif rem == INF:
+            if q is None:
+                raise ValueError("interval generation needs a finite bound or a box")
+            self.order = range(q)
+        elif rem < 0:
+            self.order = range(0)
+        else:
+            s = math.sqrt(rem)
+            lo = math.ceil((resid - s) / diag)
+            hi = math.floor((resid + s) / diag)
+            if q is not None:
+                lo = max(lo, 0)
+                hi = min(hi, q - 1)
+            self.order = range(lo, hi + 1)
 
-
-def _peek_child(problem, node, gen, budget, strict):
-    """Next child (coord, w) without consuming it, or None when exhausted."""
-    if node.gen_kind is None:
-        _init_gen(problem, node, gen, budget)
-    resid, diag = node.resid, node.diag
-    rem = budget - node.g
-    if node.gen_kind == "se_free":
-        a, delta, rank = node.gen_state
-        x = _se_coord(a, delta, rank)
-        d = resid - diag * x
-        w = d * d
-        if (w >= rem) if strict else (w > rem):
-            return None  # zigzag w is nondecreasing: no further child fits
-        return x, w
-    if node.gen_kind == "se_box":
-        order, idx = node.gen_state
-        if idx >= len(order):
-            return None
-        x = order[idx]
-        d = resid - diag * x
-        w = d * d
-        if (w >= rem) if strict else (w > rem):
-            return None  # ordered by w: nothing further fits either
-        return x, w
-    # vb: ascending coordinates, skipping any that no longer fit the bound
-    lo, hi = node.gen_state
-    x = lo
-    while x <= hi:
-        d = resid - diag * x
-        w = d * d
-        if (w < rem) if strict else (w <= rem):
-            node.gen_state[0] = x
-            return x, w
-        x += 1
-    node.gen_state[0] = x
-    return None
-
-
-def _consume_child(node):
-    if node.gen_kind == "se_free":
-        node.gen_state[2] += 1
-    elif node.gen_kind == "se_box":
-        node.gen_state[1] += 1
-    else:
-        node.gen_state[0] += 1
+    def peek(self, rem, strict):
+        """Next child (coord, w) with w within rem, not consumed; None when exhausted."""
+        order, rank = self.order, self.rank
+        while True:
+            if order is None:
+                x = _se_coord(self.a, self.delta, rank)
+            elif rank < len(order):
+                x = order[rank]
+            else:
+                return None
+            d = self.resid - self.diag * x
+            w = d * d
+            if (w < rem) if strict else (w <= rem):
+                return x, w
+            if self.zigzag:
+                return None  # ordered by w: nothing further fits either
+            rank = self.rank = rank + 1  # vb: skip the coordinate that no longer fits
 
 
 def child_interval(problem, parent_label, budget):
@@ -190,25 +157,12 @@ def child_interval(problem, parent_label, budget):
     caller should use zigzag generation instead).  The interval is clipped
     to {0..Q-1} when the problem is constrained.
     """
-    parent_label = tuple(parent_label)
-    k = len(parent_label)
     if budget == INF:
         return None
-    rem = budget - problem.path_metric(parent_label)
-    if rem < 0:
-        return (0, -1)
-    row = problem.lev_rows[k]
-    resid = problem.lev_y[k]
-    for j in range(k):
-        resid -= row[j] * parent_label[j]
-    diag = row[k]
-    s = math.sqrt(rem)
-    a0 = math.ceil((resid - s) / diag)
-    a1 = math.floor((resid + s) / diag)
-    if problem.boundary_q is not None:
-        a0 = max(a0, 0)
-        a1 = min(a1, problem.boundary_q - 1)
-    return (a0, a1)
+    parent_label = tuple(parent_label)
+    order = _Children(problem, parent_label, "vb",
+                      budget - problem.path_metric(parent_label)).order
+    return order.start, order.stop - 1
 
 
 def se_child_order(problem, parent_label, count=None):
@@ -217,18 +171,12 @@ def se_child_order(problem, parent_label, count=None):
     Yields (coord, w) pairs following the zigzag rule; for unconstrained
     problems the stream is infinite unless `count` limits it.
     """
-    parent_label = tuple(parent_label)
-    node = _Node(parent_label, len(parent_label), 0.0)
-    _init_gen(problem, node, "se", INF)
-    q = problem.boundary_q
-    limit = count if count is not None else (q if q is not None else None)
-    emitted = 0
-    while limit is None or emitted < limit:
-        got = _peek_child(problem, node, "se", INF, True)
+    kids = _Children(problem, tuple(parent_label))
+    while count is None or kids.rank < count:
+        got = kids.peek(INF, True)
         if got is None:
             return
-        _consume_child(node)
-        emitted += 1
+        kids.rank += 1
         yield got
 
 
@@ -285,9 +233,12 @@ def policy_babai():
 
 
 def policy_stack(b=0.0):
-    """Best-first search ordered by path_metric - b*level; b=0 is exact."""
+    """Best-first search ordered by path_metric - b*level; b=0 is exact.
+
+    A node's cost is that of its best ungenerated child and a leaf's is
+    -inf, so the first leaf on top of the list is the decision."""
     return SearchPolicy("stack", sort="cost", gen="se", bound=INF, g1="min",
-                        bias=float(b))
+                        bias=float(b), first_leaf_exit=True)
 
 
 def policy_m_algorithm(M):
@@ -340,21 +291,138 @@ def _bounds_vector(policy, m):
 
 def _babai_descent(problem):
     """Straight rounding descent; used as the fallback decision on budget hits."""
-    label = []
+    label = ()
     g = 0.0
-    q = problem.boundary_q
-    for k in range(problem.m):
-        row = problem.lev_rows[k]
-        resid = problem.lev_y[k]
-        for j in range(k):
-            resid -= row[j] * label[j]
-        x = _nearest_int(resid / row[k])
-        if q is not None:
-            x = min(max(x, 0), q - 1)
-        d = resid - row[k] * x
-        g += d * d
-        label.append(x)
-    return tuple(label), g
+    for _ in range(problem.m):
+        x, w = _Children(problem, label).peek(INF, True)
+        label += (x,)
+        g += w
+    return label, g
+
+
+def _finish(problem, name, label, distance, n_c, budget_hit, unique=None, **extra):
+    """The epilogue of every search: Babai fallback when the node budget ran
+    out before a leaf, EmptySearchSpace when no leaf was found at all."""
+    if label is None and budget_hit:
+        label, distance = _babai_descent(problem)
+    if label is None:
+        err = EmptySearchSpace(f"policy {name}: no leaf within the bounds")
+        err.node_generations = n_c
+        raise err
+    return SearchOutcome(decoded_label=label, distance=distance, node_generations=n_c,
+                         unique_nodes=n_c if unique is None else unique,
+                         budget_hit=budget_hit, **extra)
+
+
+# ---------------------------------------------------------------------------
+# the ACTIVE list: one class per sort rule
+
+
+class _Node:
+    __slots__ = ("label", "level", "g", "f", "kids", "dead")
+
+    def __init__(self, label, level, g):
+        self.label = label
+        self.level = level
+        self.g = g
+        self.f = g        # sort cost; the cost heap replaces it
+        self.kids = None  # _Children, made at the first look at a child
+        self.dead = False  # level heap: removed or pruned by g2
+
+
+class _Deque:
+    """lifo / fifo: the top is the newest / oldest node."""
+
+    def __init__(self, root, lifo):
+        self.nodes = deque([root])
+        self.end = -1 if lifo else 0
+        self.drop = self.nodes.pop if lifo else self.nodes.popleft
+        self.push = self.nodes.append
+
+    def top(self):
+        return self.nodes[self.end] if self.nodes else None
+
+
+class _LevelHeap:
+    """level-cost: lowest level first, then lowest path metric.  When the
+    first node of a new level appears, rule g2 bounds the level above it
+    (M best nodes, or within T of the best) and prunes the nodes beyond."""
+
+    def __init__(self, root, policy, t):
+        self.heap = [(0, 0.0, 0, root)]
+        self.seq = 1
+        self.t = t
+        self.g2, self.g2_param = policy.g2, policy.g2_param
+        self.by_level = [[] for _ in t]
+        self.deepest = 0
+
+    def top(self):
+        heap = self.heap
+        while heap and heap[0][3].dead:
+            heapq.heappop(heap)
+        return heap[0][3] if heap else None
+
+    def drop(self):
+        heapq.heappop(self.heap)[3].dead = True
+
+    def push(self, child):
+        heapq.heappush(self.heap, (child.level, child.g, self.seq, child))
+        self.seq += 1
+        self.by_level[child.level].append(child)
+        if child.level > self.deepest:
+            self.deepest = child.level
+            if self.g2 is not None and child.level > 1:
+                self._g2(child.level - 1)
+
+    def _g2(self, level):
+        peers = sorted((nd for nd in self.by_level[level] if not nd.dead),
+                       key=lambda nd: nd.g)
+        if self.g2 == "m-alg":
+            if len(peers) <= self.g2_param:
+                return
+            self.t[level] = peers[self.g2_param - 1].g
+        else:  # t-alg
+            self.t[level] = peers[0].g + self.g2_param
+        for nd in peers:
+            if nd.g > self.t[level]:
+                nd.dead = True
+
+
+class _CostHeap:
+    """cost: lowest biased cost f first.  A node's f is that of its best
+    ungenerated child, so it is recomputed (and the node re-pushed) each
+    time the node generates a child; a leaf's f is -inf."""
+
+    def __init__(self, root, problem, policy):
+        self.problem, self.policy = problem, policy
+        self.heap = [(self._cost(root), 0, root)]
+        self.seq = 1
+
+    def _cost(self, node):
+        p = self.policy
+        if node.level == self.problem.m:
+            node.f = -INF
+        else:
+            if node.kids is None:
+                node.kids = _Children(self.problem, node.label, p.gen)
+            got = node.kids.peek(INF, p.strict)
+            node.f = INF if got is None else node.g + got[1] - p.bias * (node.level + 1)
+        return node.f
+
+    def top(self):
+        return self.heap[0][2] if self.heap else None
+
+    def drop(self):
+        heapq.heappop(self.heap)
+
+    def push(self, child):
+        # the parent is the top node: replace it by the child, re-push it with its new cost
+        parent = self.heap[0][2]
+        heapq.heapreplace(self.heap, (self._cost(child), self.seq, child))
+        self.seq += 1
+        if self._cost(parent) < INF:
+            heapq.heappush(self.heap, (parent.f, self.seq, parent))
+            self.seq += 1
 
 
 # ---------------------------------------------------------------------------
@@ -370,240 +438,66 @@ def gbb_run(problem: TreeProblem, policy: SearchPolicy, collect_trace=False):
     the policy's order, the counter and rule g2 are applied, and the list
     is re-sorted.  Raises EmptySearchSpace when no leaf was found.
     """
-    if policy.sort == "cost":
-        return _run_best_first(problem, policy, collect_trace)
-    if policy.sort == "level-cost":
-        return _run_level_cost(problem, policy, collect_trace)
-    if policy.sort in ("lifo", "fifo"):
-        return _run_linear(problem, policy, collect_trace)
-    raise ValueError(f"unknown sort rule {policy.sort!r}")
-
-
-def _run_linear(problem, policy, collect_trace):
     m = problem.m
     t = _bounds_vector(policy, m)
+    root = _Node((), 0, 0.0)
+    if policy.sort in ("lifo", "fifo"):
+        active = _Deque(root, policy.sort == "lifo")
+    elif policy.sort == "level-cost":
+        active = _LevelHeap(root, policy, t)
+    elif policy.sort == "cost":
+        active = _CostHeap(root, problem, policy)
+    else:
+        raise ValueError(f"unknown sort rule {policy.sort!r}")
     strict = policy.strict
-    gen = policy.gen
-    lifo = policy.sort == "lifo"
     g1_min = policy.g1 == "min"
     budget_cap = policy.node_budget
-    root = _Node((), 0, 0.0)
-    active = deque([root])
-    top = (lambda: active[-1]) if lifo else (lambda: active[0])
-    drop = active.pop if lifo else active.popleft
     n_c = 1
-    gen_per_level = [0] * (m + 1)
-    gen_per_level[0] = 1
+    gen_per_level = [1] + [0] * m
     trace = [] if collect_trace else None
     best_label = None
     best_g = INF
     budget_hit = False
 
-    while active:
-        node = top()
-        if node.level == m:
+    while (node := active.top()) is not None:
+        lvl = node.level
+        if lvl == m:  # leaf: new incumbent, rule g1
             if g1_min:
-                f_leaf = node.g
                 for i in range(1, m + 1):
-                    if f_leaf < t[i]:
-                        t[i] = f_leaf
+                    if node.g < t[i]:
+                        t[i] = node.g
             if node.g < best_g:
                 best_g = node.g
                 best_label = node.label
-            drop()
+            active.drop()
             if policy.first_leaf_exit:
                 break
             continue
-        lvl = node.level
         if lvl > 0 and not ((node.g < t[lvl]) if strict else (node.g <= t[lvl])):
-            drop()
+            active.drop()  # invalid
             continue
-        got = _peek_child(problem, node, gen, t[lvl + 1], strict)
+        rem = t[lvl + 1] - node.g
+        kids = node.kids
+        if kids is None:
+            kids = node.kids = _Children(problem, node.label, policy.gen, rem)
+        got = kids.peek(rem, strict)
         if got is None:
-            drop()
+            active.drop()  # exhausted
             continue
-        _consume_child(node)
+        kids.rank += 1
         coord, w = got
         child = _Node(node.label + (coord,), lvl + 1, node.g + w)
-        active.append(child)
+        active.push(child)  # re-sort; the level heap applies rule g2
         n_c += 1
-        gen_per_level[child.level] += 1
+        gen_per_level[lvl + 1] += 1
         if collect_trace:
-            trace.append((child.level, child.label, child.g, child.g, t[child.level]))
+            trace.append((lvl + 1, child.label, child.g, child.f, t[lvl + 1]))
         if budget_cap is not None and n_c >= budget_cap:
             budget_hit = True
             break
 
-    if budget_hit and best_label is None:
-        best_label, best_g = _babai_descent(problem)
-    if best_label is None:
-        err = EmptySearchSpace(f"policy {policy.name}: no leaf within the bounds")
-        err.node_generations = n_c
-        raise err
-    return SearchOutcome(decoded_label=best_label, distance=best_g,
-                         node_generations=n_c, unique_nodes=n_c,
-                         budget_hit=budget_hit, gen_per_level=gen_per_level,
-                         trace=trace)
-
-
-def _run_level_cost(problem, policy, collect_trace):
-    m = problem.m
-    t = _bounds_vector(policy, m)
-    strict = policy.strict
-    gen = policy.gen
-    budget_cap = policy.node_budget
-    root = _Node((), 0, 0.0)
-    heap = [(0, 0.0, 0, root)]
-    nodes_by_level = {0: [root]}
-    seq = 1
-    n_c = 1
-    gen_per_level = [0] * (m + 1)
-    gen_per_level[0] = 1
-    deepest = 0
-    trace = [] if collect_trace else None
-    best_label = None
-    best_g = INF
-    budget_hit = False
-
-    def tighten(level):
-        peers = [nd for nd in nodes_by_level.get(level, []) if not nd.dead]
-        peers.sort(key=lambda nd: nd.g)
-        if policy.g2 == "m-alg":
-            M = policy.g2_param
-            if len(peers) <= M:
-                return
-            t[level] = peers[M - 1].g
-        else:  # t-alg
-            t[level] = peers[0].g + policy.g2_param
-        for nd in peers:
-            if nd.g > t[level]:
-                nd.dead = True
-
-    while heap:
-        _, _, _, node = heap[0]
-        if node.dead:
-            heapq.heappop(heap)
-            continue
-        if node.level == m:
-            if node.g < best_g:
-                best_g = node.g
-                best_label = node.label
-            node.dead = True
-            heapq.heappop(heap)
-            if policy.first_leaf_exit:
-                break
-            continue
-        lvl = node.level
-        if lvl > 0 and not ((node.g < t[lvl]) if strict else (node.g <= t[lvl])):
-            node.dead = True
-            heapq.heappop(heap)
-            continue
-        got = _peek_child(problem, node, gen, t[lvl + 1], strict)
-        if got is None:
-            node.dead = True
-            heapq.heappop(heap)
-            continue
-        _consume_child(node)
-        coord, w = got
-        child = _Node(node.label + (coord,), lvl + 1, node.g + w)
-        heapq.heappush(heap, (child.level, child.g, seq, child))
-        nodes_by_level.setdefault(child.level, []).append(child)
-        seq += 1
-        n_c += 1
-        gen_per_level[child.level] += 1
-        if collect_trace:
-            trace.append((child.level, child.label, child.g, child.g, t[child.level]))
-        if child.level > deepest:
-            deepest = child.level
-            if policy.g2 in ("m-alg", "t-alg") and child.level > 1:
-                tighten(child.level - 1)
-        if budget_cap is not None and n_c >= budget_cap:
-            budget_hit = True
-            break
-
-    if budget_hit and best_label is None:
-        best_label, best_g = _babai_descent(problem)
-    if best_label is None:
-        err = EmptySearchSpace(f"policy {policy.name}: no leaf within the bounds")
-        err.node_generations = n_c
-        raise err
-    return SearchOutcome(decoded_label=best_label, distance=best_g,
-                         node_generations=n_c, unique_nodes=n_c,
-                         budget_hit=budget_hit, gen_per_level=gen_per_level,
-                         trace=trace)
-
-
-def _run_best_first(problem, policy, collect_trace):
-    """Best-first driver: ACTIVE ordered by cost, leaves carry cost -inf.
-
-    A node's cost is the biased metric of its best ungenerated child, so
-    the first leaf to reach the top of the list ends the search.  Parent
-    costs are updated on every generation (two updates per generated node).
-    """
-    m = problem.m
-    b = policy.bias
-    budget_cap = policy.node_budget
-    trace = [] if collect_trace else None
-
-    def lookahead(node):
-        if node.level == m:
-            return -INF
-        got = _peek_child(problem, node, "se", INF, True)
-        if got is None:
-            return INF
-        return node.g + got[1] - b * (node.level + 1)
-
-    root = _Node((), 0, 0.0)
-    root.f = lookahead(root)
-    seq = 1
-    heap = [(root.f, 0, 0, root)]
-    n_c = 1
-    gen_per_level = [0] * (m + 1)
-    gen_per_level[0] = 1
-    budget_hit = False
-    best_label = None
-    best_g = None
-
-    while heap:
-        f, _, version, node = heapq.heappop(heap)
-        if version != node.version:
-            continue  # stale entry; a newer cost was pushed
-        if node.level == m:
-            best_label, best_g = node.label, node.g
-            break
-        got = _peek_child(problem, node, "se", INF, True)
-        if got is None:
-            continue  # all children generated; drop the node
-        _consume_child(node)
-        coord, w = got
-        child = _Node(node.label + (coord,), node.level + 1, node.g + w)
-        child.f = lookahead(child)
-        heapq.heappush(heap, (child.f, seq, 0, child))
-        seq += 1
-        n_c += 1
-        gen_per_level[child.level] += 1
-        if collect_trace:
-            trace.append((child.level, child.label, child.g, child.f, INF))
-        node.f = lookahead(node)
-        node.version += 1
-        if node.f < INF:
-            heapq.heappush(heap, (node.f, seq, node.version, node))
-            seq += 1
-        if budget_cap is not None and n_c >= budget_cap:
-            budget_hit = True
-            break
-
-    if best_label is None:
-        if budget_hit:
-            best_label, best_g = _babai_descent(problem)
-        else:
-            err = EmptySearchSpace("best-first search exhausted without a leaf")
-            err.node_generations = n_c
-            raise err
-    return SearchOutcome(decoded_label=best_label, distance=best_g,
-                         node_generations=n_c, unique_nodes=n_c,
-                         budget_hit=budget_hit, gen_per_level=gen_per_level,
-                         trace=trace)
+    return _finish(problem, policy.name, best_label, best_g, n_c, budget_hit,
+                   gen_per_level=gen_per_level, trace=trace)
 
 
 def restart_schedule(problem, policy, factor=2.0, max_restarts=64, collect_trace=False):
@@ -648,40 +542,14 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None,
     if step <= 0:
         raise ValueError("step must be positive")
     m = problem.m
-    q = problem.boundary_q
-    lev_rows = problem.lev_rows
-    lev_y = problem.lev_y
     b = bias
 
-    # per-level state along the current path
+    # per-level state along the current path; kids[k].rank is the rank of
+    # the level-k node's candidate child (the next path entry, when there is one)
     path = []
-    ranks = []
     gs = [0.0]
     fs = [0.0]
-    resids = [lev_y[0]]
-    orders = [None]  # boxed candidate orders, built lazily
-    ses = [None]     # (a, delta) for free candidates
-
-    def candidate(k, rank):
-        """(coord, w) of the rank-th best child of the current level-k node."""
-        resid = resids[k]
-        diag = lev_rows[k][k]
-        if q is None:
-            if ses[k] is None:
-                c = resid / diag
-                a = _nearest_int(c)
-                ses[k] = (a, 1 if (c - a) >= 0 else -1)
-            a, delta = ses[k]
-            x = _se_coord(a, delta, rank)
-        else:
-            if orders[k] is None:
-                orders[k] = _boxed_se_order(resid / diag, q)
-            if rank >= len(orders[k]):
-                return None
-            x = orders[k][rank]
-        d = resid - diag * x
-        return x, d * d
-
+    kids = [_Children(problem, path)]
     t_mult = 0  # threshold T = t_mult * step: always an exact multiple
     t_mult_max = 0
     evals = 0
@@ -689,14 +557,13 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None,
     trace = [] if collect_trace else None
     budget_hit = False
     k = 0
-    cand_rank = 0
 
     while True:
         if node_budget is not None and evals >= node_budget:
             budget_hit = True
             break
         T = t_mult * step
-        got = candidate(k, cand_rank)
+        got = kids[k].peek(INF, True)
         evals += 1
         if got is None:
             f_cand = INF
@@ -706,7 +573,6 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None,
             f_cand = g_cand - b * (k + 1)
         if f_cand <= T:
             path.append(coord)
-            ranks.append(cand_rank)
             gs.append(g_cand)
             fs.append(f_cand)
             k += 1
@@ -718,35 +584,19 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None,
             if fs[k - 1] > T - step:  # first visit: pull T down as far as allowed
                 while fs[k] <= (t_mult - 1) * step:
                     t_mult -= 1
-            resid = lev_y[k]
-            row = lev_rows[k]
-            for j in range(k):
-                resid -= row[j] * path[j]
-            resids.append(resid)
-            orders.append(None)
-            ses.append(None)
-            cand_rank = 0
+            kids.append(_Children(problem, path))
+        elif k == 0 or fs[k - 1] > T:
+            t_mult += 1  # cannot move back: relax and look forward again
+            t_mult_max = max(t_mult_max, t_mult)
+            kids[k].rank = 0
         else:
-            if k == 0 or fs[k - 1] > T:
-                t_mult += 1  # cannot move back: relax and look forward again
-                t_mult_max = max(t_mult_max, t_mult)
-                cand_rank = 0
-            else:
-                cand_rank = ranks.pop() + 1  # move back, try the next-best sibling
-                path.pop()
-                gs.pop()
-                fs.pop()
-                resids.pop()
-                orders.pop()
-                ses.pop()
-                k -= 1
+            path.pop()  # move back, try the next-best sibling
+            gs.pop()
+            fs.pop()
+            kids.pop()
+            k -= 1
+            kids[k].rank += 1
 
-    T_max = t_mult_max * step
-    if budget_hit and k < m:
-        label, g = _babai_descent(problem)
-        return SearchOutcome(decoded_label=label, distance=g, node_generations=evals,
-                             unique_nodes=1 + len(visited), budget_hit=True, trace=trace,
-                             max_threshold=T_max)
-    return SearchOutcome(decoded_label=tuple(path), distance=gs[m],
-                         node_generations=evals, unique_nodes=1 + len(visited),
-                         budget_hit=False, trace=trace, max_threshold=T_max)
+    return _finish(problem, "fano", None if budget_hit else tuple(path), gs[-1], evals,
+                   budget_hit, unique=1 + len(visited), trace=trace,
+                   max_threshold=t_mult_max * step)

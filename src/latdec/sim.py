@@ -27,6 +27,7 @@ from .errors import AlignmentError, ConfigError, TooLarge
 from .preprocess import apply_back_map, prepare_tree
 
 CHUNK = 512  # stopping-rule granularity (fixed: determinism across workers)
+DUMP_LIMIT = 10  # failing decodes written per sweep by dump_failures
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +91,8 @@ _DECODER_KEYS = {
     "ir": {"bounds"}, "ep": {"weights"},
     "m-alg": {"M"}, "t-alg": {"T"},
 }
+_REQUIRED = {"pohst": "radius", "vb": "radius", "ir": "bounds", "ep": "weights",
+             "m-alg": "M", "t-alg": "T"}
 _TOP_KEYS = {"channel", "preproc", "decoder", "snr_grid_db", "trials",
              "target_frame_errors", "seed", "noiseless", "fixed_channel",
              "shadow_oracle"}
@@ -161,7 +164,17 @@ def parse_decoder(d):
         kwargs["bounds"] = tuple(kwargs["bounds"])
     if "weights" in kwargs:
         kwargs["weights"] = tuple(kwargs["weights"])
-    return DecoderSpec(name=name, **kwargs)
+    spec = DecoderSpec(name=name, **kwargs)
+    if name in _REQUIRED and getattr(spec, _REQUIRED[name]) is None:
+        raise ConfigError(f"decoder {name!r} needs the field {_REQUIRED[name]!r}")
+    for key in ("bias", "step"):
+        value = getattr(spec, key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ConfigError(f"decoder field {key!r} must be a finite number, got {value!r}")
+    if spec.step <= 0:
+        raise ConfigError(f"decoder field 'step' must be positive, got {spec.step!r}")
+    return spec
 
 
 def parse_config(d):
@@ -172,10 +185,16 @@ def parse_config(d):
     for req in ("channel", "decoder", "snr_grid_db", "trials"):
         if req not in d:
             raise ConfigError(f"missing config field {req!r}")
+    channel = parse_channel(d["channel"])
+    preproc = parse_preproc(d.get("preproc"))
+    decoder = parse_decoder(d["decoder"])
+    if decoder.name in ("m-alg", "t-alg") and preproc.boundary != "constrained":
+        raise ConfigError(f"decoder {decoder.name!r} needs the preproc field 'boundary' "
+                          f"to be 'constrained'")
     return ExperimentConfig(
-        channel=parse_channel(d["channel"]),
-        preproc=parse_preproc(d.get("preproc")),
-        decoder=parse_decoder(d["decoder"]),
+        channel=channel,
+        preproc=preproc,
+        decoder=decoder,
         snr_grid_db=tuple(float(s) for s in d["snr_grid_db"]),
         trials=int(d["trials"]),
         target_frame_errors=d.get("target_frame_errors", 100),
@@ -234,9 +253,10 @@ class FrameResult:
     restarts: int
     budget_hit: bool
     distance: float
+    trace: list | None = None  # node trace of the search, when asked for
 
 
-def _policy_for(dec: DecoderSpec, m):
+def _policy_for(dec: DecoderSpec):
     if dec.name == "se":
         return search.policy_se()
     if dec.name == "babai":
@@ -258,27 +278,31 @@ def _policy_for(dec: DecoderSpec, m):
     raise ConfigError(f"decoder {dec.name!r} has no tree policy")
 
 
-def decode_frame(instance, problem, dec: DecoderSpec):
-    """Decode one preprocessed frame with the configured decoder."""
+def decode_frame(instance, problem, dec: DecoderSpec, trace=False):
+    """Decode one preprocessed frame with the configured decoder.
+
+    With trace=True the tree search also records its node trace (see
+    search.trace_lines); exhaustive ML has none.
+    """
     if dec.name == "ml":
         res = oracle.exhaustive_ml(instance)
         return FrameResult(info=res.label, nc=int(instance.code.info_set.size(instance.code.dim)),
                            unique=0, restarts=0, budget_hit=False, distance=res.distance)
     if dec.name == "fano":
         out = search.fano_decode(problem, bias=dec.bias, step=dec.step,
-                                 node_budget=dec.budget)
+                                 node_budget=dec.budget, collect_trace=trace)
     else:
-        policy = _policy_for(dec, problem.m)
+        policy = _policy_for(dec)
         if dec.budget != search.DEFAULT_NODE_BUDGET:
             policy = replace(policy, node_budget=dec.budget)
         if dec.name in ("pohst", "vb", "ir", "ep"):
-            out = search.restart_schedule(problem, policy)
+            out = search.restart_schedule(problem, policy, collect_trace=trace)
         else:
-            out = search.gbb_run(problem, policy)
-    mapped = apply_back_map(out.decoded_label, problem.back_map)
-    return FrameResult(info=mapped.info, nc=out.node_generations,
-                       unique=out.unique_nodes, restarts=out.restarts,
-                       budget_hit=out.budget_hit, distance=out.distance)
+            out = search.gbb_run(problem, policy, collect_trace=trace)
+    return FrameResult(info=apply_back_map(out.decoded_label, problem.back_map),
+                       nc=out.node_generations, unique=out.unique_nodes,
+                       restarts=out.restarts, budget_hit=out.budget_hit,
+                       distance=out.distance, trace=out.trace)
 
 
 def _sample_instance(ch_cfg, rng, noiseless, fixture):
@@ -363,11 +387,13 @@ class SweepReport:
                 for p in self.points]
 
 
-def _run_frames(cfgs, rho, point_idx, start, count, collect_frames, dump=None):
+def _run_frames(cfgs, rho, point_idx, start, count, collect_frames, dump_limit=0):
     """Decode frames [start, start+count) of one SNR point for every config.
 
     Returns per-config lists of compact frame tuples
-    (err, bit_errs, nc, unique, restarts, budget_hit, distance, shadow_bad).
+    (err, bit_errs, nc, unique, restarts, budget_hit, distance, shadow_bad,
+    info), and (point_idx, frame, config index, instance JSON) of the first
+    `dump_limit` failing decodes in frame order.
     """
     base = cfgs[0]
     ch_cfg = replace(base.channel, rho=rho)
@@ -377,6 +403,7 @@ def _run_frames(cfgs, rho, point_idx, start, count, collect_frames, dump=None):
     plans = {}  # keyed by preproc spec: shared between identical configs
     static_channel = base.fixed_channel or isinstance(ch_cfg, channels.IsiConfig)
     results = [[] for _ in cfgs]
+    failures = []
     for frame in range(start, start + count):
         rng = channels.frame_rng(base.seed, point_idx, frame)
         inst = _sample_instance(ch_cfg, rng, base.noiseless, fixture)
@@ -409,12 +436,12 @@ def _run_frames(cfgs, rho, point_idx, start, count, collect_frames, dump=None):
                 d_dec = _channel_distance(inst, res.info)
                 if d_dec > ml_res.distance * (1 + 1e-9) + 1e-9:
                     shadow_bad = 1
-            if err and dump is not None and len(dump["records"]) < dump["limit"]:
-                dump["records"].append((point_idx, frame, ci, inst.to_json()))
+            if err and len(failures) < dump_limit:
+                failures.append((point_idx, frame, ci, inst.to_json()))
             results[ci].append((err, bits, res.nc, res.unique, res.restarts,
                                 int(res.budget_hit), res.distance, shadow_bad,
                                 tuple(int(v) for v in res.info) if collect_frames else None))
-    return results
+    return results, failures
 
 
 def compare_decoders(cfgs, workers=1, collect_frames=False, dump_failures=None):
@@ -432,7 +459,7 @@ def compare_decoders(cfgs, workers=1, collect_frames=False, dump_failures=None):
             raise ConfigError("compared configs must share channel, seed, grid, and trials")
     reports = [SweepReport(decoder=c.decoder.label(), points=[],
                            frames=[] if collect_frames else None) for c in cfgs]
-    dump = {"records": [], "limit": 10} if dump_failures is not None else None
+    failures = []  # the first DUMP_LIMIT failing decodes, in frame order
     for point_idx, snr_db in enumerate(base.snr_grid_db):
         rho = 10.0 ** (snr_db / 10.0)
         stats = [PointStats(snr_db=snr_db) for _ in cfgs]
@@ -449,14 +476,15 @@ def compare_decoders(cfgs, workers=1, collect_frames=False, dump_failures=None):
                     count = min(CHUNK, base.trials - start)
                     jobs.append((start, count))
                     start += count
+                limit = DUMP_LIMIT - len(failures) if dump_failures is not None else 0
+                args = [(cfgs, rho, point_idx, s, c, collect_frames, limit) for s, c in jobs]
                 if pool is None:
-                    chunk_results = [_run_frames(cfgs, rho, point_idx, s, c,
-                                                 collect_frames, dump) for s, c in jobs]
+                    chunk_results = [_run_frames(*a) for a in args]
                 else:
-                    futs = [pool.submit(_run_frames, cfgs, rho, point_idx, s, c,
-                                        collect_frames, None) for s, c in jobs]
+                    futs = [pool.submit(_run_frames, *a) for a in args]
                     chunk_results = [f.result() for f in futs]
-                for (s, c), per_cfg in zip(jobs, chunk_results):
+                for (s, c), (per_cfg, fails) in zip(jobs, chunk_results):
+                    failures.extend(fails[:DUMP_LIMIT - len(failures)])
                     for ci, rows in enumerate(per_cfg):
                         st = stats[ci]
                         for fi, (err, bits, nc, uniq, rs, bh, dist, sb, info) in enumerate(rows):
@@ -483,8 +511,8 @@ def compare_decoders(cfgs, workers=1, collect_frames=False, dump_failures=None):
             info_syms = _info_symbols(cfg.channel)
             stats[ci].info_bits = info_syms * _bits_per_symbol(q)
             reports[ci].points.append(stats[ci])
-    if dump_failures is not None and dump is not None:
-        _write_failures(dump_failures, dump["records"], cfgs)
+    if dump_failures is not None:
+        _write_failures(dump_failures, failures, cfgs)
     return reports
 
 

@@ -252,7 +252,7 @@ def test_criterion_10_underdetermined_ld():
         prob = form_tree(inst.received, inst.H, inst.code, "mmse", "lll+permute",
                          "lattice")
         out = latdec.gbb_run(prob, latdec.policy_stack(0.0))
-        info = apply_back_map(out.decoded_label, prob.back_map).info
+        info = apply_back_map(out.decoded_label, prob.back_map)
         ok += int(np.array_equal(info, inst.x_true))
     assert ok >= 0.99 * 300
 

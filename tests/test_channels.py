@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -201,3 +202,8 @@ def test_instance_json_roundtrip():
     ml_a = latdec.exhaustive_ml(inst)
     ml_b = latdec.exhaustive_ml(back)
     assert np.array_equal(ml_a.label, ml_b.label)
+    # dump files written before noise_var was dropped still load
+    old = json.loads(text)
+    old["noise_var"] = 1.0
+    assert np.array_equal(latdec.ChannelInstance.from_json(json.dumps(old)).received,
+                          inst.received)

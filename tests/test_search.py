@@ -326,7 +326,7 @@ def test_monotone_bias_endpoints():
         prob = form_tree(inst.received, inst.H, inst.code, "zf", "none", "lattice")
         for b in (0.0, 8.0):
             out = gbb_run(prob, policy_stack(b))
-            info = apply_back_map(out.decoded_label, prob.back_map).info
+            info = apply_back_map(out.decoded_label, prob.back_map)
             errors[b] += int(not np.array_equal(info, inst.x_true))
             nodes[b] += out.unique_nodes
     assert errors[8.0] >= errors[0.0]

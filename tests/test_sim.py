@@ -37,6 +37,45 @@ def test_parse_config_rejects_unknown_keys():
         sim.parse_config(bad3)
 
 
+def _tiny_plan():
+    inst = latdec.sample_vblast(latdec.VblastConfig(M=2, N=2), latdec.frame_rng(1, 0))
+    return inst, latdec.prepare_tree(inst.H, inst.code)
+
+
+def _with_nan(a):
+    a = np.array(a, dtype=float)
+    a.flat[0] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: _base_config(decoder={"name": "pohst"}), ConfigError, "'radius'"),
+    (lambda: _base_config(decoder={"name": "vb"}), ConfigError, "'radius'"),
+    (lambda: _base_config(decoder={"name": "ir"}), ConfigError, "'bounds'"),
+    (lambda: _base_config(decoder={"name": "ep"}), ConfigError, "'weights'"),
+    (lambda: _base_config(decoder={"name": "m-alg"}), ConfigError, "'M'"),
+    (lambda: _base_config(decoder={"name": "t-alg"}), ConfigError, "'T'"),
+    (lambda: _base_config(decoder={"name": "m-alg", "M": 4}), ConfigError, "'boundary'"),
+    (lambda: _base_config(decoder={"name": "t-alg", "T": 2.0}), ConfigError, "'boundary'"),
+    (lambda: _base_config(decoder={"name": "fano", "step": 0}), ConfigError, "'step'"),
+    (lambda: _base_config(decoder={"name": "fano", "step": -1.0}), ConfigError, "'step'"),
+    (lambda: _base_config(decoder={"name": "fano", "step": float("inf")}), ConfigError, "'step'"),
+    (lambda: _base_config(decoder={"name": "fano", "bias": float("nan")}), ConfigError, "'bias'"),
+    (lambda: _base_config(decoder={"name": "stack", "bias": float("inf")}), ConfigError, "'bias'"),
+    (lambda: _tiny_plan()[1].problem_for(_with_nan(_tiny_plan()[0].received)),
+     ValueError, "^received"),
+    (lambda: latdec.prepare_tree(_with_nan(_tiny_plan()[0].H), _tiny_plan()[0].code),
+     ValueError, "^H:"),
+], ids=["pohst-radius", "vb-radius", "ir-bounds", "ep-weights", "m-alg-M", "t-alg-T",
+        "m-alg-lattice", "t-alg-lattice", "fano-step-0", "fano-step-negative",
+        "fano-step-inf", "fano-bias-nan", "stack-bias-inf", "received-nan", "H-nan"])
+def test_bad_input_fails_early_naming_the_field(build, error, match):
+    with pytest.raises(error, match=match):
+        built = build()
+        if isinstance(built, dict):
+            sim.parse_config(built)
+
+
 def test_zero_trials_gives_empty_rows():
     cfg = sim.parse_config(_base_config(trials=0))
     report = sim.run_sweep(cfg)
@@ -64,6 +103,19 @@ def test_reproducible_csv_across_runs_and_workers():
     assert a == b
     c = sim.run_sweep(cfg, workers=2).to_csv()
     assert a == c
+
+
+def test_dump_failures_independent_of_worker_count(tmp_path):
+    # a few failures per point, spread over two chunks per point, and more
+    # failures in all than the dump keeps
+    cfg = sim.parse_config(_base_config(trials=600, snr_grid_db=[16.0, 14.0]))
+    dumped = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        sim.run_sweep(cfg, workers=workers, dump_failures=str(out))
+        dumped.append({p.name: p.read_text() for p in out.glob("*.json")})
+    assert len(dumped[0]) == sim.DUMP_LIMIT
+    assert dumped[0] == dumped[1]
 
 
 def test_stopping_rule_applies_at_chunk_boundaries():
@@ -180,6 +232,27 @@ def test_cli_simulate_and_decode_roundtrip(tmp_path, capsys):
         out = capsys.readouterr().out
         result = json.loads(out[out.index("{"):])
         assert result["frame_error"] in (True, False)
+
+
+def test_cli_decode_trace_runs_the_same_decode(tmp_path, capsys):
+    # a radius below the closest point needs restarts; the trace must come
+    # from the decode it explains, restarts included
+    inst = latdec.sample_vblast(latdec.VblastConfig(M=2, N=2, Q=2, rho=10.0),
+                                latdec.frame_rng(4, 0))
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps({
+        "instance": json.loads(inst.to_json()),
+        "preproc": {"left": "mmse", "right": "lll+permute", "boundary": "lattice"},
+        "decoder": {"name": "pohst", "radius": 1e-3},
+    }))
+    assert cli.main(["decode", str(path)]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert plain["restarts"] > 0
+    assert cli.main(["decode", str(path), "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):]) == plain
+    lines = out[:out.index("{")].splitlines()
+    assert lines and all(len(line.split("\t")) == 5 for line in lines)
 
 
 def test_cli_compare(tmp_path):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from latdec.lattice import InfoSet, UnimodularRecord
+from latdec.lattice import UnimodularRecord
 from latdec.preprocess import BackMap, TreeProblem
 
 
@@ -10,10 +10,7 @@ def make_problem(R, y, q=None):
     """TreeProblem with an identity back map, for hand-set R and y."""
     R = np.asarray(R, dtype=float)
     m = R.shape[0]
-    kind = "unconstrained" if q is None else "hypercube"
-    back = BackMap(record=UnimodularRecord.identity(m), permutation=list(range(m)),
-                   translate=np.zeros(m), code_generator=np.eye(m),
-                   info_set=InfoSet(kind, q=q))
+    back = BackMap(record=UnimodularRecord.identity(m))
     return TreeProblem(R=R, y=np.asarray(y, dtype=float), back_map=back, boundary_q=q)
 
 
