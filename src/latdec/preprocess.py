@@ -25,6 +25,7 @@ from .linalg import qr_decompose
 
 LEFT_MODES = ("zf", "mmse")
 RIGHT_MODES = ("none", "lll", "permute", "lll+permute")
+ORDER_TIE_RTOL = 1e-9  # relative gain difference below which ordering counts a tie
 
 
 @dataclass
@@ -61,7 +62,11 @@ def vblast_greedy_order(A):
     Detection proceeds bottom row of R first.  At each step the column with
     the largest post-nulling gain (smallest pseudo-inverse row norm) among
     the remaining ones is detected next and placed in the lowest free
-    position.  Ties keep the natural column order.
+    position.  Gains within a relative ORDER_TIE_RTOL of the largest count
+    as tied, and a tie keeps the natural column order: the last tied
+    column is detected first.  The tolerance matters because the
+    complex-to-real embedding gives the Re and Im columns of one symbol
+    exactly equal gains, which rounding would otherwise tell apart.
     """
     A = np.asarray(A, dtype=float)
     m = A.shape[1]
@@ -73,8 +78,7 @@ def vblast_greedy_order(A):
         sub = A[:, remaining]
         pinv = np.linalg.pinv(sub)
         gains = 1.0 / np.sum(pinv * pinv, axis=1)
-        # last occurrence of the max, so exact ties keep the natural order
-        best = len(gains) - 1 - int(np.argmax(gains[::-1]))
+        best = int(np.flatnonzero(gains >= gains.max() * (1.0 - ORDER_TIE_RTOL))[-1])
         perm[slot] = remaining.pop(best)
     return perm
 

@@ -7,6 +7,11 @@ clear and one sha256 over every frame's label, distance, n_c, unique nodes,
 per-level counts, restarts, budget flag, largest Fano threshold and trace
 lines.  A change that alters any of them must name the rule it changed and
 re-record the fixture with ``python tests/test_search_golden.py``.
+
+Re-recorded since:
+  * greedy ordering tie rule: post-nulling gains within a relative 1e-9 of
+    the largest count as tied, and the last tied column is detected first
+    (the embedding's Re/Im column pairs have exactly equal gains).
 """
 
 import hashlib
