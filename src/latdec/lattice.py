@@ -1,15 +1,21 @@
 """Lattice codes and basis manipulation: Construction A, LLL, HNF, sparsity index.
 
-Unimodular bookkeeping is done with exact arbitrary-precision integers
-(numpy object arrays of Python ints), so T @ T_inv == I holds exactly and
-the reduced basis generates the same integer lattice as the input.
+Unimodular bookkeeping is exact: records hold int64 entries while no
+operation can overflow them and fall back to arbitrary-precision Python
+ints (numpy object arrays) before one could, so T @ T_inv == I holds
+exactly and the reduced basis generates the same integer lattice as the
+input.  HNF works in Python ints throughout.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, SingularDiagonal
+from .linalg import qr_decompose
+
+_INT64_SAFE = 2.0 ** 62  # entry bound that keeps int64 sums of two entries exact
 
 
 def _int_matrix(M):
@@ -64,24 +70,37 @@ def is_unimodular(T):
     return abs(int_det(T)) == 1
 
 
+def _exact_matmul(A, B):
+    """A @ B of integer arrays: in int64 when no sum can overflow, else in Python ints."""
+    if A.dtype == np.int64 and B.dtype == np.int64 and A.size and B.size:
+        if A.shape[1] * float(np.abs(A).max()) * float(np.abs(B).max()) < _INT64_SAFE:
+            return A @ B
+    return A.astype(object) @ B.astype(object)
+
+
 @dataclass
 class UnimodularRecord:
-    """Exact integer change-of-basis pair with T @ T_inv == I."""
+    """Exact integer change-of-basis pair with T @ T_inv == I.
+
+    Entries are int64, or Python ints in object arrays where int64 could
+    overflow.
+    """
 
     T: np.ndarray
     T_inv: np.ndarray
 
     @classmethod
     def identity(cls, n):
-        return cls(_int_eye(n), _int_eye(n))
+        return cls(np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64))
 
     def compose_left(self, other):
         """Record for applying `self` after `other`: total T = self.T @ other.T."""
-        return UnimodularRecord(self.T @ other.T, other.T_inv @ self.T_inv)
+        return UnimodularRecord(_exact_matmul(self.T, other.T),
+                                _exact_matmul(other.T_inv, self.T_inv))
 
     def verify(self):
         n = self.T.shape[0]
-        return bool(np.array_equal(self.T @ self.T_inv, _int_eye(n)))
+        return bool(np.array_equal(_exact_matmul(self.T, self.T_inv), np.eye(n, dtype=np.int64)))
 
 
 @dataclass
@@ -182,25 +201,13 @@ def sparsity_index(R):
     return worst
 
 
-def _gso(B):
-    """Gram-Schmidt data for the columns of B: coefficient matrix mu and
-    squared norms of the orthogonalized vectors."""
-    n = B.shape[1]
-    mu = np.zeros((n, n))
-    Bstar = np.zeros_like(B)
-    norms = np.zeros(n)
-    for i in range(n):
-        v = B[:, i].copy()
-        for j in range(i):
-            if norms[j] == 0.0:
-                raise RankDeficient("rank-deficient basis")
-            mu[i, j] = (B[:, i] @ Bstar[:, j]) / norms[j]
-            v -= mu[i, j] * Bstar[:, j]
-        Bstar[:, i] = v
-        norms[i] = v @ v
-        if norms[i] <= 0.0:
-            raise RankDeficient("rank-deficient basis")
-    return mu, norms
+def _int_array(rows):
+    """Integer array of nested lists of Python ints: int64 when every entry
+    fits (numpy raises OverflowError otherwise), else an object array."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 def lll_reduce(B, delta=0.99, deep=False):
@@ -209,77 +216,80 @@ def lll_reduce(B, delta=0.99, deep=False):
     Returns (B_reduced, record) where B_reduced == B @ record.T_inv spans
     the same lattice and record.T undoes the change of basis
     (B == B_reduced @ record.T up to float rounding).
+
+    The reduction runs on the triangular factor R of B = Q R (effective
+    LLL, Ling and Howgrave-Graham, ISIT 2007): an upper-triangular B with a
+    positive diagonal is its own R, and any other B is factored once.  A
+    column insertion (a swap is an insertion one place back) is undone by
+    Givens rotations.  Inside the loop only the entry the Lovasz test reads
+    is size-reduced; deep insertion tests every position, so it reduces the
+    whole column.  One full size reduction at the end gives the same basis
+    as size-reducing everything inside the loop.  The records are kept in
+    Python ints while the loop runs, so they are exact.
     """
     if not 0.25 < delta <= 1.0:
         raise ValueError("delta must lie in (0.25, 1]")
-    B = np.asarray(B, dtype=float).copy()
+    B = np.asarray(B, dtype=float)
     n = B.shape[1]
-    T = _int_eye(n)       # reduced -> original coordinates
-    Tinv = _int_eye(n)    # original -> reduced coordinates
-    mu, norms = _gso(B)
+    if B.shape == (n, n) and np.all(np.diag(B) > 0) and not np.tril(B, -1).any():
+        R = B.T.tolist()
+    else:
+        R = qr_decompose(B)[1].T.tolist()  # raises RankDeficient
+    # R[c] is column c of the triangular factor; Ti[c] is column c of T_inv
+    # and T[c] row c of T, so moving a basis column moves one list each
+    Ti = [[int(i == c) for i in range(n)] for c in range(n)]
+    T = [[int(i == c) for i in range(n)] for c in range(n)]
 
-    def size_reduce(k, j):
-        q = round(mu[k, j])
-        if q != 0:
-            B[:, k] -= q * B[:, j]
-            Tinv[:, k] -= q * Tinv[:, j]
-            T[j, :] += q * T[k, :]
-            mu[k, :j] -= q * mu[j, :j]
-            mu[k, j] -= q
+    def subtract(k, j, q):
+        # basis column k -= q * column j
+        Rk, Rj = R[k], R[j]
+        for i in range(j + 1):
+            Rk[i] -= q * Rj[i]
+        Ti[k] = [a - q * b for a, b in zip(Ti[k], Ti[j])]
+        T[j] = [a + q * b for a, b in zip(T[j], T[k])]
 
-    def swap_update(k):
-        # O(n) Gram-Schmidt update for swapping columns k-1 and k
-        mu_k = mu[k, k - 1]
-        b_new = norms[k] + mu_k * mu_k * norms[k - 1]
-        mu_prime = mu_k * norms[k - 1] / b_new
-        norms[k] = norms[k - 1] * norms[k] / b_new
-        norms[k - 1] = b_new
-        mu[[k - 1, k], : k - 1] = mu[[k, k - 1], : k - 1]
-        for i in range(k + 1, n):
-            t = mu[i, k]
-            mu[i, k] = mu[i, k - 1] - mu_k * t
-            mu[i, k - 1] = t + mu_prime * mu[i, k]
-        mu[k, k - 1] = mu_prime
+    def insert(k, i):
+        # move basis column k to position i; column i of R then has a spike
+        # in rows i+1..k, cleared by rotating row pairs from the bottom up
+        for lst in (R, Ti, T):
+            lst.insert(i, lst.pop(k))
+        for r in range(k, i, -1):
+            a, b = R[i][r - 1], R[i][r]
+            rho = math.hypot(a, b)  # > 0: b is r_kk, then the previous rho
+            c, s = a / rho, b / rho
+            for col in R[i:]:
+                u, v = col[r - 1], col[r]
+                col[r - 1], col[r] = c * u + s * v, c * v - s * u
+            R[i][r] = 0.0
 
     k = 1
     while k < n:
-        for j in range(k - 1, -1, -1):
-            size_reduce(k, j)
-        if deep:
-            # Deep insertion: move column k to the first position i where it
-            # would shorten the orthogonalized vector by the delta margin.
-            c = float(B[:, k] @ B[:, k])
-            inserted = False
-            for i in range(k):
-                if delta * norms[i] <= c:
-                    c -= mu[k, i] ** 2 * norms[i]
-                else:
-                    col = B[:, k].copy()
-                    B[:, i + 1: k + 1] = B[:, i:k]
-                    B[:, i] = col
-                    ticol = Tinv[:, k].copy()
-                    Tinv[:, i + 1: k + 1] = Tinv[:, i:k]
-                    Tinv[:, i] = ticol
-                    trow = T[k, :].copy()
-                    T[i + 1: k + 1, :] = T[i:k, :]
-                    T[i, :] = trow
-                    mu, norms = _gso(B)
-                    k = max(i, 1)
-                    inserted = True
-                    break
-            if inserted:
-                continue
-            k += 1
+        lo = 0 if deep else k - 1
+        Rk = R[k]
+        for j in range(k - 1, lo - 1, -1):
+            q = round(Rk[j] / R[j][j])
+            if q:
+                subtract(k, j, q)
+        # insert column k at the first position i where its projection
+        # orthogonal to columns 0..i-1 is shorter than delta * |r_ii|
+        c = sum(v * v for v in Rk[lo:k + 1])
+        for i in range(lo, k):
+            if delta * R[i][i] ** 2 > c:
+                insert(k, i)
+                k = max(i, 1)
+                break
+            c -= Rk[i] ** 2
         else:
-            if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
-                k += 1
-            else:
-                B[:, [k - 1, k]] = B[:, [k, k - 1]]
-                Tinv[:, [k - 1, k]] = Tinv[:, [k, k - 1]]
-                T[[k - 1, k], :] = T[[k, k - 1], :]
-                swap_update(k)
-                k = max(k - 1, 1)
-    return B, UnimodularRecord(T=T, T_inv=Tinv)
+            k += 1
+    for j in range(n - 2, -1, -1):
+        for k in range(j + 1, n):
+            q = round(R[k][j] / R[j][j])
+            if q:
+                subtract(k, j, q)
+    record = UnimodularRecord(T=_int_array(T), T_inv=_int_array(Ti).T.copy())
+    if not record.verify():
+        raise ArithmeticError("LLL records are not inverse to each other")
+    return B @ record.T_inv.astype(float), record
 
 
 def hnf_transform(A):

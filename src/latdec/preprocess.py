@@ -67,28 +67,37 @@ def vblast_greedy_order(A):
     column is detected first.  The tolerance matters because the
     complex-to-real embedding gives the Re and Im columns of one symbol
     exactly equal gains, which rounding would otherwise tell apart.
+
+    The squared pseudo-inverse row norms of the remaining columns are the
+    diagonal of P = (A_S' A_S)^-1, so P is formed once from the QR factor
+    of A and each detected column is removed by a rank-one downdate of P
+    (Benesty, Huang and Chen, IEEE TSP 2003): O(m^3) in all.
     """
     A = np.asarray(A, dtype=float)
     m = A.shape[1]
-    if np.linalg.matrix_rank(A) < m:
+    R = np.linalg.qr(A, mode="r")
+    d = np.abs(np.diag(R))
+    if R.shape[0] < m or d.min() <= d.max() * max(A.shape) * np.finfo(float).eps:
         raise RankDeficient("ordering needs full column rank")
-    remaining = list(range(m))
+    R_inv = np.linalg.inv(R)
+    P = R_inv @ R_inv.T
+    remaining = np.ones(m, dtype=bool)
     perm = [0] * m
     for slot in range(m - 1, -1, -1):
-        sub = A[:, remaining]
-        pinv = np.linalg.pinv(sub)
-        gains = 1.0 / np.sum(pinv * pinv, axis=1)
+        gains = np.divide(1.0, P.diagonal(), out=np.zeros(m), where=remaining)
         best = int(np.flatnonzero(gains >= gains.max() * (1.0 - ORDER_TIE_RTOL))[-1])
-        perm[slot] = remaining.pop(best)
+        perm[slot] = best
+        remaining[best] = False
+        p = P[:, best] / np.sqrt(P[best, best])
+        P -= np.outer(p, p)
     return perm
 
 
 def _perm_record(perm):
     """Unimodular record of the column permutation A -> A[:, perm]."""
     m = len(perm)
-    P = np.zeros((m, m), dtype=object)
-    for i, p in enumerate(perm):
-        P[p, i] = 1
+    P = np.zeros((m, m), dtype=np.int64)
+    P[perm, np.arange(m)] = 1
     return UnimodularRecord(T=P.T.copy(), T_inv=P)
 
 

@@ -1,0 +1,137 @@
+"""Reference implementations the library's fast kernels are tested against.
+
+These are the textbook forms the library started from: LLL on the
+Gram-Schmidt coefficients with exact Python-int records, recomputing the
+whole Gram-Schmidt data after each deep insertion, and the greedy ordering
+with one pseudo-inverse per detected column.  They are slow and kept only
+as oracles.
+"""
+
+import numpy as np
+
+from latdec.errors import RankDeficient
+from latdec.lattice import UnimodularRecord
+from latdec.preprocess import ORDER_TIE_RTOL
+
+
+def _int_eye(n):
+    out = np.zeros((n, n), dtype=object)
+    for i in range(n):
+        out[i, i] = 1
+    return out
+
+
+def gso(B):
+    """Gram-Schmidt data for the columns of B: coefficient matrix mu and
+    squared norms of the orthogonalized vectors."""
+    n = B.shape[1]
+    mu = np.zeros((n, n))
+    Bstar = np.zeros_like(B)
+    norms = np.zeros(n)
+    for i in range(n):
+        v = B[:, i].copy()
+        for j in range(i):
+            if norms[j] == 0.0:
+                raise RankDeficient("rank-deficient basis")
+            mu[i, j] = (B[:, i] @ Bstar[:, j]) / norms[j]
+            v -= mu[i, j] * Bstar[:, j]
+        Bstar[:, i] = v
+        norms[i] = v @ v
+        if norms[i] <= 0.0:
+            raise RankDeficient("rank-deficient basis")
+    return mu, norms
+
+
+def lll_reduce_gso(B, delta=0.99, deep=False):
+    """LLL (optionally with deep insertions) on the Gram-Schmidt data of B.
+
+    Same contract as latdec.lattice.lll_reduce; records are object arrays
+    of Python ints.
+    """
+    B = np.asarray(B, dtype=float).copy()
+    n = B.shape[1]
+    T = _int_eye(n)       # reduced -> original coordinates
+    Tinv = _int_eye(n)    # original -> reduced coordinates
+    mu, norms = gso(B)
+
+    def size_reduce(k, j):
+        q = round(mu[k, j])
+        if q != 0:
+            B[:, k] -= q * B[:, j]
+            Tinv[:, k] -= q * Tinv[:, j]
+            T[j, :] += q * T[k, :]
+            mu[k, :j] -= q * mu[j, :j]
+            mu[k, j] -= q
+
+    def swap_update(k):
+        # O(n) Gram-Schmidt update for swapping columns k-1 and k
+        mu_k = mu[k, k - 1]
+        b_new = norms[k] + mu_k * mu_k * norms[k - 1]
+        mu_prime = mu_k * norms[k - 1] / b_new
+        norms[k] = norms[k - 1] * norms[k] / b_new
+        norms[k - 1] = b_new
+        mu[[k - 1, k], : k - 1] = mu[[k, k - 1], : k - 1]
+        for i in range(k + 1, n):
+            t = mu[i, k]
+            mu[i, k] = mu[i, k - 1] - mu_k * t
+            mu[i, k - 1] = t + mu_prime * mu[i, k]
+        mu[k, k - 1] = mu_prime
+
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            size_reduce(k, j)
+        if deep:
+            # Deep insertion: move column k to the first position i where it
+            # would shorten the orthogonalized vector by the delta margin.
+            c = float(B[:, k] @ B[:, k])
+            inserted = False
+            for i in range(k):
+                if delta * norms[i] <= c:
+                    c -= mu[k, i] ** 2 * norms[i]
+                else:
+                    col = B[:, k].copy()
+                    B[:, i + 1: k + 1] = B[:, i:k]
+                    B[:, i] = col
+                    ticol = Tinv[:, k].copy()
+                    Tinv[:, i + 1: k + 1] = Tinv[:, i:k]
+                    Tinv[:, i] = ticol
+                    trow = T[k, :].copy()
+                    T[i + 1: k + 1, :] = T[i:k, :]
+                    T[i, :] = trow
+                    mu, norms = gso(B)
+                    k = max(i, 1)
+                    inserted = True
+                    break
+            if inserted:
+                continue
+            k += 1
+        else:
+            if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+                k += 1
+            else:
+                B[:, [k - 1, k]] = B[:, [k, k - 1]]
+                Tinv[:, [k - 1, k]] = Tinv[:, [k, k - 1]]
+                T[[k - 1, k], :] = T[[k, k - 1], :]
+                swap_update(k)
+                k = max(k - 1, 1)
+    return B, UnimodularRecord(T=T, T_inv=Tinv)
+
+
+def greedy_order_pinv(A):
+    """Greedy detection ordering with one pseudo-inverse per detected column.
+
+    Same contract and tie rule as latdec.preprocess.vblast_greedy_order.
+    """
+    A = np.asarray(A, dtype=float)
+    m = A.shape[1]
+    if np.linalg.matrix_rank(A) < m:
+        raise RankDeficient("ordering needs full column rank")
+    remaining = list(range(m))
+    perm = [0] * m
+    for slot in range(m - 1, -1, -1):
+        pinv = np.linalg.pinv(A[:, remaining])
+        gains = 1.0 / np.sum(pinv * pinv, axis=1)
+        best = int(np.flatnonzero(gains >= gains.max() * (1.0 - ORDER_TIE_RTOL))[-1])
+        perm[slot] = remaining.pop(best)
+    return perm

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from latdec.errors import SingularDiagonal
-from latdec.lattice import (_gso, construction_a, hnf_transform, int_det,
-                            is_unimodular, lll_reduce, sparsity_index)
+from latdec.lattice import (construction_a, hnf_transform, int_det, is_unimodular,
+                            lll_reduce, sparsity_index)
 from latdec.linalg import qr_decompose
 from latdec.preprocess import vblast_greedy_order
+from reference import gso
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ def test_lll_lovasz_condition():
     for _ in range(40):
         B = rng.standard_normal((5, 5)) * rng.uniform(0.5, 20)
         red, _ = lll_reduce(B, delta=delta)
-        mu, norms = _gso(red)
+        mu, norms = gso(red)
         for k in range(1, 5):
             assert norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1] - 1e-9
             for j in range(k):
