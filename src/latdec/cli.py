@@ -86,6 +86,7 @@ def cmd_decode(args):
     inst = ChannelInstance.from_json(json.dumps(rec["instance"]))
     pre = sim.parse_preproc(rec.get("preproc"))
     dec = sim.parse_decoder(rec["decoder"])
+    sim.check_decoder(dec, pre, inst.H.shape[1])
     problem = None
     if dec.name != "ml":
         problem = form_tree(inst.received, inst.H, inst.code, left_mode=pre.left,

@@ -169,12 +169,33 @@ def parse_decoder(d):
         raise ConfigError(f"decoder {name!r} needs the field {_REQUIRED[name]!r}")
     for key in ("bias", "step"):
         value = getattr(spec, key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
+        if not _is_number(value) or not math.isfinite(value):
             raise ConfigError(f"decoder field {key!r} must be a finite number, got {value!r}")
     if spec.step <= 0:
         raise ConfigError(f"decoder field 'step' must be positive, got {spec.step!r}")
+    if spec.radius is not None and not (_is_number(spec.radius) and spec.radius > 0):
+        raise ConfigError(f"decoder field 'radius' must be a positive number, got {spec.radius!r}")
     return spec
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_decoder(decoder, preproc, dim):
+    """Check a parsed decoder against its preprocessing and the channel's
+    lattice dimension dim; raises ConfigError naming the field.
+
+    parse_config runs this, and so does the replay of a dumped frame.
+    """
+    if decoder.name in ("m-alg", "t-alg") and preproc.boundary != "constrained":
+        raise ConfigError(f"decoder {decoder.name!r} needs the preproc field 'boundary' "
+                          f"to be 'constrained'")
+    for key in ("bounds", "weights"):
+        value = getattr(decoder, key)
+        if value is not None and len(value) != dim:
+            raise ConfigError(f"decoder field {key!r} needs one entry per lattice dimension "
+                              f"({dim}), got {len(value)}")
 
 
 def parse_config(d):
@@ -188,9 +209,7 @@ def parse_config(d):
     channel = parse_channel(d["channel"])
     preproc = parse_preproc(d.get("preproc"))
     decoder = parse_decoder(d["decoder"])
-    if decoder.name in ("m-alg", "t-alg") and preproc.boundary != "constrained":
-        raise ConfigError(f"decoder {decoder.name!r} needs the preproc field 'boundary' "
-                          f"to be 'constrained'")
+    check_decoder(decoder, preproc, _problem_dim(channel))
     return ExperimentConfig(
         channel=channel,
         preproc=preproc,

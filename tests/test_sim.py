@@ -62,13 +62,22 @@ def _with_nan(a):
     (lambda: _base_config(decoder={"name": "fano", "step": float("inf")}), ConfigError, "'step'"),
     (lambda: _base_config(decoder={"name": "fano", "bias": float("nan")}), ConfigError, "'bias'"),
     (lambda: _base_config(decoder={"name": "stack", "bias": float("inf")}), ConfigError, "'bias'"),
+    (lambda: _base_config(decoder={"name": "pohst", "radius": 0}), ConfigError, "'radius'"),
+    (lambda: _base_config(decoder={"name": "vb", "radius": -2.0}), ConfigError, "'radius'"),
+    (lambda: _base_config(decoder={"name": "pohst", "radius": float("nan")}), ConfigError,
+     "'radius'"),
+    (lambda: _base_config(decoder={"name": "ir", "bounds": [1, 2]}), ConfigError, "'bounds'"),
+    (lambda: _base_config(decoder={"name": "ep", "weights": [1, 2, 3, 4, 5]}), ConfigError,
+     "'weights'"),
     (lambda: _tiny_plan()[1].problem_for(_with_nan(_tiny_plan()[0].received)),
      ValueError, "^received"),
     (lambda: latdec.prepare_tree(_with_nan(_tiny_plan()[0].H), _tiny_plan()[0].code),
      ValueError, "^H:"),
 ], ids=["pohst-radius", "vb-radius", "ir-bounds", "ep-weights", "m-alg-M", "t-alg-T",
         "m-alg-lattice", "t-alg-lattice", "fano-step-0", "fano-step-negative",
-        "fano-step-inf", "fano-bias-nan", "stack-bias-inf", "received-nan", "H-nan"])
+        "fano-step-inf", "fano-bias-nan", "stack-bias-inf", "pohst-radius-0",
+        "vb-radius-negative", "pohst-radius-nan", "ir-bounds-length", "ep-weights-length",
+        "received-nan", "H-nan"])
 def test_bad_input_fails_early_naming_the_field(build, error, match):
     with pytest.raises(error, match=match):
         built = build()
@@ -253,6 +262,20 @@ def test_cli_decode_trace_runs_the_same_decode(tmp_path, capsys):
     assert json.loads(out[out.index("{"):]) == plain
     lines = out[:out.index("{")].splitlines()
     assert lines and all(len(line.split("\t")) == 5 for line in lines)
+
+
+def test_cli_decode_rejects_what_parse_config_rejects(tmp_path):
+    # a dumped frame edited by hand must meet the same decoder checks
+    inst = latdec.sample_vblast(latdec.VblastConfig(M=2, N=2, Q=2, rho=10.0),
+                                latdec.frame_rng(4, 0))
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps({
+        "instance": json.loads(inst.to_json()),
+        "preproc": {"left": "mmse", "right": "lll+permute", "boundary": "lattice"},
+        "decoder": {"name": "m-alg", "M": 4},
+    }))
+    with pytest.raises(ConfigError, match="'boundary'"):
+        cli.main(["decode", str(path)])
 
 
 def test_cli_compare(tmp_path):
