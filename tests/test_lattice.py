@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+import latdec
 from latdec.errors import SingularDiagonal
-from latdec.lattice import (construction_a, hnf_transform, int_det, is_unimodular,
-                            lll_reduce, sparsity_index)
+from latdec.lattice import (UnimodularRecord, construction_a, hnf_transform, int_det,
+                            is_unimodular, lll_reduce, sparsity_index)
 from latdec.linalg import qr_decompose
-from latdec.preprocess import vblast_greedy_order
-from reference import gso
+from latdec.preprocess import left_preprocess, vblast_greedy_order
+from reference import gso, lll_reduce_gso
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,67 @@ def test_lll_lovasz_condition():
             assert norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1] - 1e-9
             for j in range(k):
                 assert abs(mu[k, j]) <= 0.5 + 1e-9
+
+
+def _lll_bases(m, frames, seed):
+    """Even frames: the upper-triangular basis R1 @ G of an m/2 x m/2 VBLAST
+    frame at 13 dB after MMSE filtering, which lll_reduce takes as its own R.
+    Odd frames: a real Gaussian basis, which lll_reduce has to factor first.
+
+    Lattices of complex channels can carry exact size-reduction ties
+    (mu = +-1/2), which each implementation breaks by its own rounding
+    noise; there the two may return different reduced bases.  At 13 dB no
+    MMSE basis showed one (0 of 2000 at m=8), at 20 dB 7 of 2000 at m=8
+    did, and real channel matrices, which the two factor differently, do
+    more often.  So this test compares the two where the reference is
+    well defined.
+    """
+    cfg = latdec.VblastConfig(M=m // 2, N=m // 2, Q=2, rho=10.0 ** 1.3)
+    rng = np.random.default_rng(seed)
+    for i in range(frames):
+        if i % 2:
+            yield rng.standard_normal((m, m)) * rng.uniform(0.5, 20.0)
+        else:
+            inst = latdec.sample_vblast(cfg, latdec.frame_rng(seed, i))
+            yield left_preprocess(inst.H, "mmse").R1 @ inst.code.generator
+
+
+# 1002 frames in all; the reference is slow at m=32, above all with deep insertion
+@pytest.mark.parametrize("m, deep, frames", [
+    (8, False, 400), (8, True, 300), (16, False, 150), (16, True, 100),
+    (32, False, 40), (32, True, 12)])
+def test_lll_matches_gso_reference(m, deep, frames):
+    for B in _lll_bases(m, frames, seed=20 + m + deep):
+        red, rec = lll_reduce(B, deep=deep)
+        red0, rec0 = lll_reduce_gso(B, deep=deep)
+        assert rec.T.dtype == rec.T_inv.dtype == np.int64
+        assert np.array_equal(rec.T, rec0.T)
+        assert np.array_equal(rec.T_inv, rec0.T_inv)
+        assert np.allclose(gso(red)[1], gso(red0)[1], rtol=1e-9, atol=0.0)  # |diag R|^2
+
+
+def test_lll_records_exact_beyond_int64():
+    # the size-reduction multiplier 10**19 does not fit in int64
+    B = np.array([[1.0, 1e19], [0.0, 1.0]])
+    red, rec = lll_reduce(B)
+    _, rec0 = lll_reduce_gso(B)
+    assert rec.T_inv.tolist() == [[1, -10**19], [0, 1]]
+    assert rec.T.tolist() == [[1, 10**19], [0, 1]]
+    assert np.array_equal(rec.T_inv, rec0.T_inv) and np.array_equal(rec.T, rec0.T)
+    assert rec.verify()
+    assert np.allclose(red, np.eye(2))
+
+
+def test_record_products_exact_beyond_int64():
+    # every entry fits in int64, but the fourth power's does not
+    step = 3 * 10**18
+    rec = UnimodularRecord(T=np.array([[1, step], [0, 1]]), T_inv=np.array([[1, -step], [0, 1]]))
+    total = rec
+    for _ in range(3):
+        total = total.compose_left(rec)
+        assert total.verify()
+    assert total.T.tolist() == [[1, 4 * step], [0, 1]]
+    assert total.T_inv.tolist() == [[1, -4 * step], [0, 1]]
 
 
 # ---------------------------------------------------------------------------

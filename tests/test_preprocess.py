@@ -4,10 +4,12 @@ import pytest
 import latdec
 from latdec.errors import IncompatibleBoundary, RankDeficient
 from latdec.lattice import InfoSet, LatticeCode, sparsity_index
-from latdec.linalg import qr_decompose
+from latdec.lattice import lll_reduce
+from latdec.linalg import complex_to_real_matrix, qr_decompose
 from latdec.preprocess import (apply_back_map, form_tree, left_preprocess,
                                node_metric, right_preprocess,
                                vblast_greedy_order)
+from reference import greedy_order_pinv
 
 
 def _pam_code(m, q=2):
@@ -122,6 +124,38 @@ def test_greedy_order_against_exhaustive_4x4():
         if got >= max(allv) * (1 - 1e-9):
             optimal += 1
     assert optimal >= 0.95 * trials
+
+
+@pytest.mark.parametrize("M", [2, 4, 8, 16])
+def test_greedy_order_matches_pinv_reference(M):
+    cfg = latdec.VblastConfig(M=M, N=M, Q=2, rho=10.0 ** 1.3)
+    for i in range(40):
+        inst = latdec.sample_vblast(cfg, latdec.frame_rng(30 + M, i))
+        B = left_preprocess(inst.H, "mmse").R1 @ inst.code.generator
+        for A in (B, lll_reduce(B)[0], inst.H):
+            assert vblast_greedy_order(A) == greedy_order_pinv(A)
+
+
+def test_greedy_order_ties_are_stable():
+    # The embedding gives the Re and Im columns j and j + 4 of a complex
+    # 4 x 4 matrix exactly equal gains; the last tied column goes first,
+    # whatever the rounding, so ulp perturbations move nothing.
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        A = complex_to_real_matrix(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        perm = vblast_greedy_order(A)
+        assert perm == greedy_order_pinv(A)
+        assert perm[-1] >= 4
+        for _ in range(4):
+            nudged = A + rng.integers(-4, 5, size=A.shape) * np.spacing(A)
+            assert vblast_greedy_order(nudged) == perm
+            assert greedy_order_pinv(nudged) == perm
+
+
+def test_greedy_order_rejects_rank_deficient():
+    for A in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones((2, 3)), np.zeros((3, 2))):
+        with pytest.raises(RankDeficient):
+            vblast_greedy_order(A)
 
 
 # ---------------------------------------------------------------------------
