@@ -8,12 +8,15 @@ here and nowhere else.
 import time
 
 import numpy as np
+import pytest
 
 import latdec
 from latdec import oracle, sim
 from latdec.errors import TooLarge
 from latdec.preprocess import apply_back_map, form_tree
 from latdec.search import _babai_descent
+
+pytestmark = pytest.mark.acceptance
 
 
 def _ok(n, text):
