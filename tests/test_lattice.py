@@ -98,11 +98,11 @@ def _lll_bases(m, frames, seed):
 
     Lattices of complex channels can carry exact size-reduction ties
     (mu = +-1/2), which each implementation breaks by its own rounding
-    noise; there the two may return different reduced bases.  At 13 dB no
-    MMSE basis showed one (0 of 2000 at m=8), at 20 dB 7 of 2000 at m=8
-    did, and real channel matrices, which the two factor differently, do
-    more often.  So this test compares the two where the reference is
-    well defined.
+    noise; there the two may return different reduced bases.  No MMSE
+    basis at 13 dB showed one (0 of 2000 at m=8), but 7 of 2000 at 20 dB
+    did, and so did 2 of 590 real channel matrices at 13 dB, which the two
+    factor differently.  So this test compares the two where the reference
+    is well defined.
     """
     cfg = latdec.VblastConfig(M=m // 2, N=m // 2, Q=2, rho=10.0 ** 1.3)
     rng = np.random.default_rng(seed)

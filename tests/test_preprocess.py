@@ -3,8 +3,7 @@ import pytest
 
 import latdec
 from latdec.errors import IncompatibleBoundary, RankDeficient
-from latdec.lattice import InfoSet, LatticeCode, sparsity_index
-from latdec.lattice import lll_reduce
+from latdec.lattice import InfoSet, LatticeCode, lll_reduce, sparsity_index
 from latdec.linalg import complex_to_real_matrix, qr_decompose
 from latdec.preprocess import (apply_back_map, form_tree, left_preprocess,
                                node_metric, right_preprocess,
