@@ -70,6 +70,15 @@ def is_unimodular(T):
     return abs(int_det(T)) == 1
 
 
+def _int_array(rows):
+    """Integer array of (nested) lists of Python ints: int64 when every
+    entry fits (numpy raises OverflowError otherwise), else an object array."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
 def _exact_matmul(A, B):
     """A @ B of integer arrays: in int64 when no sum can overflow, else in Python ints."""
     if A.dtype == np.int64 and B.dtype == np.int64 and A.size and B.size:
@@ -101,6 +110,10 @@ class UnimodularRecord:
     def verify(self):
         n = self.T.shape[0]
         return bool(np.array_equal(_exact_matmul(self.T, self.T_inv), np.eye(n, dtype=np.int64)))
+
+    def inverse_times(self, z):
+        """T_inv @ z, exactly, for a sequence z of integers."""
+        return _exact_matmul(self.T_inv, _int_array(z))
 
 
 @dataclass
@@ -199,15 +212,6 @@ def sparsity_index(R):
         off = R[i, i + 1:]
         worst = max(worst, float(off @ off) / float(d[i] * d[i]))
     return worst
-
-
-def _int_array(rows):
-    """Integer array of nested lists of Python ints: int64 when every entry
-    fits (numpy raises OverflowError otherwise), else an object array."""
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
 
 
 def lll_reduce(B, delta=0.99, deep=False):

@@ -145,9 +145,8 @@ def apply_back_map(label, back_map):
     code's information set, so the result may lie outside it; such a vector
     differs from every transmitted one and counts as a frame error.
     """
-    z = np.array(list(label)[::-1], dtype=object)  # physical coordinate order
-    info = back_map.record.T_inv @ z
-    return np.array([int(v) for v in info], dtype=int)
+    info = back_map.record.inverse_times(list(label)[::-1])  # physical coordinate order
+    return np.asarray(info, dtype=int)
 
 
 @dataclass

@@ -138,6 +138,7 @@ def test_lll_records_exact_beyond_int64():
     assert np.array_equal(rec.T_inv, rec0.T_inv) and np.array_equal(rec.T, rec0.T)
     assert rec.verify()
     assert np.allclose(red, np.eye(2))
+    assert rec.inverse_times([1, 1]).tolist() == [1 - 10**19, 1]
 
 
 def test_record_products_exact_beyond_int64():
