@@ -1,10 +1,12 @@
 """Lattice codes and basis manipulation: Construction A, LLL, HNF, sparsity index.
 
-Unimodular bookkeeping is exact: records hold int64 entries while no
-operation can overflow them and fall back to arbitrary-precision Python
-ints (numpy object arrays) before one could, so T @ T_inv == I holds
-exactly and the reduced basis generates the same integer lattice as the
-input.  HNF works in Python ints throughout.
+Unimodular bookkeeping is exact.  Records hold int64 entries when every
+entry fits and arbitrary-precision Python ints (numpy object arrays)
+otherwise; LLL accumulates them in Python ints, and a product of records
+(composition, verification, back-mapping a label) runs in int64 only when
+no sum can overflow.  So T @ T_inv == I holds exactly and the reduced basis
+generates the same integer lattice as the input.  HNF works in Python ints
+throughout.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, RankDeficient, SingularDiagonal
 from .linalg import qr_decompose
 
-_INT64_SAFE = 2.0 ** 62  # entry bound that keeps int64 sums of two entries exact
+_INT64_SAFE = 2.0 ** 62  # int64 holds 2**63 - 1; results bounded by half that are safe
 
 
 def _int_matrix(M):
@@ -274,8 +276,8 @@ def lll_reduce(B, delta=0.99, deep=False):
             q = round(Rk[j] / R[j][j])
             if q:
                 subtract(k, j, q)
-        # insert column k at the first position i where its projection
-        # orthogonal to columns 0..i-1 is shorter than delta * |r_ii|
+        # insert column k at the first position i where the squared length
+        # of its projection orthogonal to columns 0..i-1 is below delta * r_ii^2
         c = sum(v * v for v in Rk[lo:k + 1])
         for i in range(lo, k):
             if delta * R[i][i] ** 2 > c:
