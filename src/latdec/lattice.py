@@ -84,9 +84,15 @@ def _int_array(rows):
 def _exact_matmul(A, B):
     """A @ B of integer arrays: in int64 when no sum can overflow, else in Python ints."""
     if A.dtype == np.int64 and B.dtype == np.int64 and A.size and B.size:
-        if A.shape[1] * float(np.abs(A).max()) * float(np.abs(B).max()) < _INT64_SAFE:
+        if A.shape[1] * _max_abs(A) * _max_abs(B) < _INT64_SAFE:
             return A @ B
     return A.astype(object) @ B.astype(object)
+
+
+def _max_abs(A):
+    """Largest |entry| of an int64 array, as a float.  np.abs(-2**63) wraps
+    to -2**63, whose uint64 view is the true magnitude 2**63."""
+    return float(np.abs(A).view(np.uint64).max())
 
 
 @dataclass

@@ -151,6 +151,11 @@ def test_record_products_exact_beyond_int64():
         assert total.verify()
     assert total.T.tolist() == [[1, 4 * step], [0, 1]]
     assert total.T_inv.tolist() == [[1, -4 * step], [0, 1]]
+    # -2**63 fits in int64, but its magnitude does not
+    low = -2**63
+    rec = UnimodularRecord(T=np.array([[1, -low], [0, 1]], dtype=object),
+                           T_inv=np.array([[1, low], [0, 1]]))
+    assert rec.inverse_times([0, 2]).tolist() == [2 * low, 2]
 
 
 # ---------------------------------------------------------------------------
