@@ -13,8 +13,8 @@ from .lattice import (InfoSet, LatticeCode, UnimodularRecord, construction_a,
                       hnf_transform, is_unimodular, lll_reduce, sparsity_index)
 from .linalg import (back_substitute, complex_to_real_matrix,
                      complex_to_real_vector, qr_decompose)
-from .oracle import (MaxCost, OracleBox, PohstBudget, babai_box, box_clps,
-                     enumerate_node_set, exhaustive_ml)
+from .oracle import (MaxCost, MlPlan, OracleBox, PohstBudget, babai_box,
+                     box_clps, enumerate_node_set, exhaustive_ml)
 from .preprocess import (BackMap, LeftPreprocResult, TreePlan, TreeProblem,
                          apply_back_map, form_tree, left_preprocess,
                          node_metric, prepare_tree, right_preprocess,

@@ -297,11 +297,21 @@ def _isi_lattice(gen_polys, frame, q, kappa, explicit_limit):
     return LatticeCode(generator=G, translate=v, info_set=iset), P, k
 
 
+@lru_cache(maxsize=16)
+def _isi_channel(taps, frame_len, rho):
+    """Scaled Toeplitz channel; cached because an ISI channel is static, so
+    every frame of a sweep point shares it.  Read-only for that reason."""
+    H = np.sqrt(rho) * isi_toeplitz(taps, frame_len)
+    H.flags.writeable = False
+    return H
+
+
 def build_isi_instance(cfg: IsiConfig, rng, noiseless=False, explicit_limit=2**16):
     """Draw one ISI frame: banded Toeplitz channel, PAM symbols, optional
-    convolutional coding via the mod-Q lattice lift."""
+    convolutional coding via the mod-Q lattice lift.  Instances with the
+    same taps, frame length and SNR share one read-only H."""
     frame = cfg.frame_len
-    H = np.sqrt(cfg.rho) * isi_toeplitz(cfg.taps, frame)
+    H = _isi_channel(tuple(cfg.taps), frame, cfg.rho)
     kappa = pam_scale(cfg.Q)
     if cfg.gen_polys is None:
         code = _pam_code(frame, cfg.Q, kappa)

@@ -3,6 +3,10 @@
 Everything here enumerates candidate sets directly (vectorized numpy over
 explicit candidate lists); none of the branch-and-bound machinery is
 reused, so these functions certify the search results at desk scale.
+Exhaustive ML splits like the tree preprocessing: an MlPlan holds what
+depends only on the channel and the code (for an explicit information
+set, every candidate's noiseless output), so a sweep builds it once per
+static channel and each frame only measures distances.
 """
 
 import math
@@ -40,24 +44,54 @@ def _enumerate_labels(info_set, m, chunk=4096):
         yield (idx[:, None] // weights[None, :]) % q
 
 
-def exhaustive_ml(instance):
+class MlPlan:
+    """The channel-dependent part of exhaustive ML for (H, code), reusable
+    across received frames while the channel stays the same.
+
+    It holds the noiseless translate H v and D = H G.  An explicit
+    information set also keeps its candidate outputs X D' in float64, one
+    matrix per chunk of labels: those labels are in memory already, and the
+    outputs take memory of the same order.  A hypercube set (up to
+    ENUM_GUARD candidates) is never materialized; its chunks are formed
+    on every call.
+    """
+
+    def __init__(self, H, code):
+        self.info_set = code.info_set
+        self.m = code.dim
+        size = self.info_set.size(self.m)
+        if size is None or size > ENUM_GUARD:
+            raise TooLarge(f"information set size {size} exceeds guard {ENUM_GUARD}")
+        self.D = H @ code.generator
+        self.offset = H @ code.translate
+        self.candidates = None
+        if self.info_set.kind == "explicit":
+            self.candidates = list(self._outputs())
+
+    def _outputs(self):
+        for X in _enumerate_labels(self.info_set, self.m):
+            yield X, X.astype(float) @ self.D.T
+
+    def chunks(self):
+        """(labels, noiseless outputs) of every chunk of candidate labels."""
+        return self.candidates if self.candidates is not None else self._outputs()
+
+
+def exhaustive_ml(instance, plan=None):
     """Exact maximum-likelihood decision by full enumeration of the code.
 
-    Ties on the distance resolve to the lexicographically smallest label
-    and are flagged in the result.
+    plan is an MlPlan of the instance's channel and code, built here when
+    None.  Ties on the distance resolve to the lexicographically smallest
+    label and are flagged in the result.
     """
-    info_set = instance.code.info_set
-    m = instance.code.dim
-    size = info_set.size(m)
-    if size is None or size > ENUM_GUARD:
-        raise TooLarge(f"information set size {size} exceeds guard {ENUM_GUARD}")
-    D = instance.H @ instance.code.generator
-    base = instance.received - instance.H @ instance.code.translate
+    if plan is None:
+        plan = MlPlan(instance.H, instance.code)
+    base = instance.received - plan.offset
     best_d = math.inf
     best_label = None
     tie = False
-    for X in _enumerate_labels(info_set, m):
-        diff = base[None, :] - X @ D.T
+    for X, outputs in plan.chunks():
+        diff = base[None, :] - outputs
         dists = np.einsum("ij,ij->i", diff, diff)
         i = int(np.argmin(dists))
         d = float(dists[i])

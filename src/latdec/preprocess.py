@@ -15,7 +15,7 @@ physical row, level m the first.  A search label (x_1 .. x_k) fixes the
 last k entries of the integer solution vector.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -149,13 +149,23 @@ def apply_back_map(label, back_map):
     return np.asarray(info, dtype=int)
 
 
+def level_rows(R):
+    """Reverse-numbered rows of the upper-triangular R, as Python floats:
+    entry [k-1][j-1] is R[m-k, m-j], the coefficient of label symbol x_j in
+    the level-k residual (j <= k)."""
+    rows = np.asarray(R, dtype=float)[::-1, ::-1].tolist()
+    return tuple(tuple(row[:k]) for k, row in enumerate(rows, 1))
+
+
 @dataclass
 class TreeProblem:
     """Upper-triangular integer least-squares problem ready for tree search.
 
     R and y are in physical (top-down) orientation; lev_rows / lev_y expose
     the reverse-numbered view used by the search: lev_rows[k-1][j-1] is the
-    coefficient of label symbol x_j in the level-k residual.
+    coefficient of label symbol x_j in the level-k residual (see
+    level_rows), and lev_y[k-1] is y[m-k].  A TreePlan passes the lev_rows
+    of its R, shared by all of its problems; otherwise they are built here.
     boundary_q is None for lattice decoding or the alphabet size Q when the
     labels are constrained to {0..Q-1}.
     """
@@ -164,15 +174,13 @@ class TreeProblem:
     y: np.ndarray
     back_map: BackMap
     boundary_q: int | None
+    lev_rows: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        m = self.R.shape[0]
-        self.m = m
-        self.lev_y = tuple(float(self.y[m - k]) for k in range(1, m + 1))
-        self.lev_rows = tuple(
-            tuple(float(self.R[m - k, m - j]) for j in range(1, k + 1))
-            for k in range(1, m + 1)
-        )
+        self.m = self.R.shape[0]
+        if self.lev_rows is None:
+            self.lev_rows = level_rows(self.R)
+        self.lev_y = tuple(np.asarray(self.y, dtype=float)[::-1].tolist())
 
     def path_metric(self, label):
         """Total squared distance accumulated by a (partial) label."""
@@ -195,7 +203,8 @@ class TreePlan:
 
     problem_for maps a received vector r to y = forward @ r - offset: the
     left filter and the final rotation folded into one matrix, and the
-    code's translate carried through both.
+    code's translate carried through both.  The level view of R is built
+    once here and shared by every problem of the plan.
     """
 
     R: np.ndarray
@@ -203,13 +212,18 @@ class TreePlan:
     boundary_q: int | None
     forward: np.ndarray
     offset: np.ndarray
+    lev_rows: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.lev_rows = level_rows(self.R)
 
     def problem_for(self, received):
         received = np.asarray(received, dtype=float)
         if not np.isfinite(received).all():
             raise ValueError("received: non-finite entries")
         y = self.forward @ received - self.offset
-        return TreeProblem(R=self.R, y=y, back_map=self.back_map, boundary_q=self.boundary_q)
+        return TreeProblem(R=self.R, y=y, back_map=self.back_map, boundary_q=self.boundary_q,
+                           lev_rows=self.lev_rows)
 
 
 def prepare_tree(H, code: LatticeCode, left_mode="mmse", right_mode="none",

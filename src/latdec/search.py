@@ -308,6 +308,8 @@ def _finish(problem, name, label, distance, n_c, budget_hit, unique=None, **extr
     if label is None:
         err = EmptySearchSpace(f"policy {name}: no leaf within the bounds")
         err.node_generations = n_c
+        err.unique_nodes = n_c if unique is None else unique
+        err.trace = extra.get("trace")
         raise err
     return SearchOutcome(decoded_label=label, distance=distance, node_generations=n_c,
                          unique_nodes=n_c if unique is None else unique,
@@ -502,18 +504,28 @@ def gbb_run(problem: TreeProblem, policy: SearchPolicy, collect_trace=False):
 
 def restart_schedule(problem, policy, factor=2.0, max_restarts=64, collect_trace=False):
     """Run gbb_run, relaxing finite bounds by `factor` whenever the search
-    space turns out to be empty; restarts and node counts accumulate."""
-    total = 0
+    space turns out to be empty.  Restarts, node counts, unique nodes and
+    the trace accumulate over the attempts: the trace holds every child
+    generated by every attempt, so n_c is its length plus one root per
+    attempt."""
+    total = unique = 0
+    trace = [] if collect_trace else None
     restarts = 0
     pol = policy
     while True:
         try:
             out = gbb_run(problem, pol, collect_trace=collect_trace)
             out.node_generations += total
+            out.unique_nodes += unique
+            if collect_trace:
+                out.trace = trace + out.trace
             out.restarts = restarts
             return out
         except EmptySearchSpace as err:
             total += err.node_generations
+            unique += err.unique_nodes
+            if collect_trace:
+                trace += err.trace
             restarts += 1
             if restarts > max_restarts:
                 raise

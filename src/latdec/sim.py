@@ -18,12 +18,13 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import channels, oracle, search
-from .errors import AlignmentError, ConfigError, TooLarge
+from .errors import AlignmentError, ConfigError
 from .preprocess import apply_back_map, prepare_tree
 
 CHUNK = 512  # stopping-rule granularity (fixed: determinism across workers)
@@ -300,11 +301,13 @@ def _policy_for(dec: DecoderSpec):
 def decode_frame(instance, problem, dec: DecoderSpec, trace=False):
     """Decode one preprocessed frame with the configured decoder.
 
+    problem is the frame's TreeProblem for a tree search; for exhaustive
+    ML it is an oracle.MlPlan of the frame's channel, or None to build one.
     With trace=True the tree search also records its node trace (see
     search.trace_lines); exhaustive ML has none.
     """
     if dec.name == "ml":
-        res = oracle.exhaustive_ml(instance)
+        res = oracle.exhaustive_ml(instance, problem)
         return FrameResult(info=res.label, nc=int(instance.code.info_set.size(instance.code.dim)),
                            unique=0, restarts=0, budget_hit=False, distance=res.distance)
     if dec.name == "fano":
@@ -419,7 +422,7 @@ def _run_frames(cfgs, rho, point_idx, start, count, collect_frames, dump_limit=0
     fixture = None
     if base.fixed_channel and not isinstance(ch_cfg, channels.IsiConfig):
         fixture = channels.draw_mimo_channel(ch_cfg, channels.frame_rng(base.seed, point_idx))
-    plans = {}  # keyed by preproc spec: shared between identical configs
+    plans = {}  # TreePlans keyed by preproc spec, shared between configs; "ml": MlPlan
     static_channel = base.fixed_channel or isinstance(ch_cfg, channels.IsiConfig)
     results = [[] for _ in cfgs]
     failures = []
@@ -432,8 +435,9 @@ def _run_frames(cfgs, rho, point_idx, start, count, collect_frames, dump_limit=0
             plans.clear()
         for ci, cfg in enumerate(cfgs):
             dec = cfg.decoder
-            problem = None
-            if dec.name != "ml":
+            if dec.name == "ml":
+                problem = _ml_plan(plans, inst)
+            else:
                 key = (cfg.preproc.left, cfg.preproc.right, cfg.preproc.boundary,
                        cfg.preproc.lll_delta, cfg.preproc.lll_deep)
                 if key not in plans:
@@ -448,10 +452,7 @@ def _run_frames(cfgs, rho, point_idx, start, count, collect_frames, dump_limit=0
             shadow_bad = 0
             if cfg.shadow_oracle:
                 if ml_res is None:
-                    size = inst.code.info_set.size(inst.code.dim)
-                    if size is None or size > oracle.ENUM_GUARD:
-                        raise TooLarge("shadow oracle needs an enumerable information set")
-                    ml_res = oracle.exhaustive_ml(inst)
+                    ml_res = oracle.exhaustive_ml(inst, _ml_plan(plans, inst))
                 d_dec = _channel_distance(inst, res.info)
                 if d_dec > ml_res.distance * (1 + 1e-9) + 1e-9:
                     shadow_bad = 1
@@ -461,6 +462,13 @@ def _run_frames(cfgs, rho, point_idx, start, count, collect_frames, dump_limit=0
                                 int(res.budget_hit), res.distance, shadow_bad,
                                 tuple(int(v) for v in res.info) if collect_frames else None))
     return results, failures
+
+
+def _ml_plan(plans, inst):
+    """The MlPlan of the frame's channel, kept in plans like the TreePlans."""
+    if "ml" not in plans:
+        plans["ml"] = oracle.MlPlan(inst.H, inst.code)
+    return plans["ml"]
 
 
 def compare_decoders(cfgs, workers=1, collect_frames=False, dump_failures=None):
@@ -479,60 +487,65 @@ def compare_decoders(cfgs, workers=1, collect_frames=False, dump_failures=None):
     reports = [SweepReport(decoder=c.decoder.label(), points=[],
                            frames=[] if collect_frames else None) for c in cfgs]
     failures = []  # the first DUMP_LIMIT failing decodes, in frame order
-    for point_idx, snr_db in enumerate(base.snr_grid_db):
-        rho = 10.0 ** (snr_db / 10.0)
-        stats = [PointStats(snr_db=snr_db) for _ in cfgs]
-        target = base.target_frame_errors
-        done = False
-        start = 0
-        pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-        try:
-            while start < base.trials and not done:
-                jobs = []
-                for _ in range(max(1, workers)):
-                    if start >= base.trials:
-                        break
-                    count = min(CHUNK, base.trials - start)
-                    jobs.append((start, count))
-                    start += count
-                limit = DUMP_LIMIT - len(failures) if dump_failures is not None else 0
-                args = [(cfgs, rho, point_idx, s, c, collect_frames, limit) for s, c in jobs]
-                if pool is None:
-                    chunk_results = [_run_frames(*a) for a in args]
-                else:
-                    futs = [pool.submit(_run_frames, *a) for a in args]
-                    chunk_results = [f.result() for f in futs]
-                for (s, c), (per_cfg, fails) in zip(jobs, chunk_results):
-                    failures.extend(fails[:DUMP_LIMIT - len(failures)])
-                    for ci, rows in enumerate(per_cfg):
-                        st = stats[ci]
-                        for fi, (err, bits, nc, uniq, rs, bh, dist, sb, info) in enumerate(rows):
-                            st.trials += 1
-                            st.frame_errors += int(err)
-                            st.bit_errors += bits
-                            st.nc_values.append(nc)
-                            st.restarts += rs
-                            st.budget_hits += bh
-                            st.shadow_disagreements += sb
-                            if collect_frames:
-                                reports[ci].frames.append(
-                                    (point_idx, s + fi, int(err), nc, uniq, dist, info))
-                    if target is not None and all(st.frame_errors >= target for st in stats):
-                        done = True
-                        break
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        # fill metadata
-        for ci, cfg in enumerate(cfgs):
-            stats[ci].dim = _problem_dim(cfg.channel)
-            q = cfg.channel.Q
-            info_syms = _info_symbols(cfg.channel)
-            stats[ci].info_bits = info_syms * _bits_per_symbol(q)
-            reports[ci].points.append(stats[ci])
+    dump_limit = DUMP_LIMIT if dump_failures is not None else 0
+    # one pool for the whole sweep: starting a pool costs more than the work
+    # of a point when frames take a millisecond
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for point_idx, snr_db in enumerate(base.snr_grid_db):
+            stats = _sweep_point(cfgs, pool, workers, point_idx, snr_db, collect_frames,
+                                 reports, failures, dump_limit)
+            for ci, cfg in enumerate(cfgs):
+                stats[ci].dim = _problem_dim(cfg.channel)
+                stats[ci].info_bits = _info_symbols(cfg.channel) * _bits_per_symbol(cfg.channel.Q)
+                reports[ci].points.append(stats[ci])
     if dump_failures is not None:
         _write_failures(dump_failures, failures, cfgs)
     return reports
+
+
+def _sweep_point(cfgs, pool, workers, point_idx, snr_db, collect_frames, reports, failures,
+                 dump_limit):
+    """Decode the frames of one SNR point, CHUNK frames per job, until the
+    trial budget or the stopping rule ends it; returns one PointStats per
+    config and appends to the reports' frames and to failures."""
+    base = cfgs[0]
+    rho = 10.0 ** (snr_db / 10.0)
+    stats = [PointStats(snr_db=snr_db) for _ in cfgs]
+    target = base.target_frame_errors
+    start = 0
+    while start < base.trials:
+        jobs = []
+        for _ in range(max(1, workers)):
+            if start >= base.trials:
+                break
+            count = min(CHUNK, base.trials - start)
+            jobs.append((start, count))
+            start += count
+        limit = dump_limit - len(failures)
+        args = [(cfgs, rho, point_idx, s, c, collect_frames, limit) for s, c in jobs]
+        if pool is None:
+            chunk_results = [_run_frames(*a) for a in args]
+        else:
+            futs = [pool.submit(_run_frames, *a) for a in args]
+            chunk_results = [f.result() for f in futs]
+        for (s, c), (per_cfg, fails) in zip(jobs, chunk_results):
+            failures.extend(fails[:dump_limit - len(failures)])
+            for ci, rows in enumerate(per_cfg):
+                st = stats[ci]
+                for fi, (err, bits, nc, uniq, rs, bh, dist, sb, info) in enumerate(rows):
+                    st.trials += 1
+                    st.frame_errors += int(err)
+                    st.bit_errors += bits
+                    st.nc_values.append(nc)
+                    st.restarts += rs
+                    st.budget_hits += bh
+                    st.shadow_disagreements += sb
+                    if collect_frames:
+                        reports[ci].frames.append(
+                            (point_idx, s + fi, int(err), nc, uniq, dist, info))
+            if target is not None and all(st.frame_errors >= target for st in stats):
+                return stats
+    return stats
 
 
 def _same_channel(a, b):

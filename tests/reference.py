@@ -2,10 +2,13 @@
 
 These are the textbook forms the library started from: LLL on the
 Gram-Schmidt coefficients with exact Python-int records, recomputing the
-whole Gram-Schmidt data after each deep insertion, and the greedy ordering
-with one pseudo-inverse per detected column.  They are slow and kept only
-as oracles.
+whole Gram-Schmidt data after each deep insertion, the greedy ordering
+with one pseudo-inverse per detected column, and exhaustive ML that forms
+every candidate's channel output again on each call, from integer labels.
+They are slow and kept only as oracles.
 """
+
+import math
 
 import numpy as np
 
@@ -135,3 +138,44 @@ def greedy_order_pinv(A):
         best = int(np.flatnonzero(gains >= gains.max() * (1.0 - ORDER_TIE_RTOL))[-1])
         perm[slot] = remaining.pop(best)
     return perm
+
+
+def _label_chunks(info_set, m, chunk=4096):
+    """Candidate labels of an explicit or hypercube information set, in
+    lexicographic order for a hypercube, as int arrays of at most `chunk` rows."""
+    if info_set.kind == "explicit":
+        for i in range(0, len(info_set.labels), chunk):
+            yield np.asarray(info_set.labels[i:i + chunk], dtype=int)
+        return
+    q = info_set.q
+    weights = q ** np.arange(m - 1, -1, -1)
+    for start in range(0, q**m, chunk):
+        idx = np.arange(start, min(start + chunk, q**m))
+        yield (idx[:, None] // weights[None, :]) % q
+
+
+def exhaustive_ml_loop(instance):
+    """Exhaustive ML recomputing X @ (H G)' for every chunk on every call.
+
+    Same contract and tie rule as latdec.oracle.exhaustive_ml: ties on the
+    distance go to the lexicographically smallest label and are flagged.
+    Returns (label, distance, tie).
+    """
+    D = instance.H @ instance.code.generator
+    base = instance.received - instance.H @ instance.code.translate
+    best_d = math.inf
+    best_label = None
+    tie = False
+    for X in _label_chunks(instance.code.info_set, instance.code.dim):
+        diff = base[None, :] - X @ D.T
+        dists = np.einsum("ij,ij->i", diff, diff)
+        d = float(dists.min())
+        rows = X[dists == d]
+        cand = rows[np.lexsort(rows.T[::-1])[0]].copy()
+        if d < best_d:
+            best_d, best_label, tie = d, cand, len(rows) > 1
+        elif d == best_d:
+            tie = True
+            if tuple(cand) < tuple(best_label):
+                best_label = cand
+    return best_label, best_d, tie

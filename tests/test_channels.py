@@ -126,6 +126,22 @@ def test_isi_five_tap_toeplitz_shape():
     assert np.allclose(np.sum(np.asarray(taps) ** 2), 1.0, atol=1e-3)
 
 
+def test_isi_instances_share_one_read_only_channel():
+    taps = (0.848, -0.424, 0.2545, -0.1696, 0.0848)
+    cfg = latdec.IsiConfig(taps=taps, frame_len=8, rho=4.0)
+    a = latdec.build_isi_instance(cfg, latdec.frame_rng(8, 0))
+    b = latdec.build_isi_instance(cfg, latdec.frame_rng(8, 1))
+    assert a.H is b.H
+    assert np.array_equal(a.H, 2.0 * channels.isi_toeplitz(taps, 8))
+    with pytest.raises(ValueError):
+        a.H[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        a.H *= 2.0
+    other = latdec.build_isi_instance(latdec.IsiConfig(taps=taps, frame_len=8, rho=9.0),
+                                      latdec.frame_rng(8, 0))
+    assert other.H is not a.H and np.array_equal(other.H, 3.0 * channels.isi_toeplitz(taps, 8))
+
+
 def test_isi_invalid_taps():
     with pytest.raises(InvalidTaps):
         latdec.IsiConfig(taps=(), frame_len=4)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import exhaustive_ml_loop
 from util import make_problem, transmitted_label
 
 import latdec
@@ -51,6 +52,66 @@ def test_exhaustive_ml_tie_reporting():
     res = oracle.exhaustive_ml(inst)
     assert res.tie
     assert tuple(res.label) == (0,)  # lexicographically smallest
+
+
+ISI_TAPS = (0.848, -0.424, 0.2545, -0.1696, 0.0848)
+
+
+def _assert_plan_matches_reference(inst, plan):
+    res = oracle.exhaustive_ml(inst, plan)
+    label, distance, tie = exhaustive_ml_loop(inst)
+    assert np.array_equal(res.label, label)
+    assert res.distance == distance
+    assert res.tie == tie
+
+
+@pytest.mark.parametrize("snr_db", [4.0, 10.0])
+def test_ml_plan_reused_on_static_isi_channel_matches_reference(snr_db):
+    cfg = latdec.IsiConfig(taps=ISI_TAPS, frame_len=24, gen_polys=(5, 7),
+                           rho=10.0 ** (snr_db / 10.0))
+    plan = None
+    for frame in range(300):
+        inst = latdec.build_isi_instance(cfg, latdec.frame_rng(9, 0, frame))
+        if plan is None:
+            plan = oracle.MlPlan(inst.H, inst.code)
+        _assert_plan_matches_reference(inst, plan)
+    assert sum(len(X) for X, _ in plan.candidates) == len(inst.code.info_set.labels)
+
+
+def test_ml_plan_on_fixed_vblast_hypercube_matches_reference():
+    for cfg, frames in ((latdec.VblastConfig(M=3, N=3, Q=2, rho=10.0), 100),
+                        (latdec.VblastConfig(M=4, N=4, Q=4, rho=30.0), 10)):
+        channel = latdec.channels.draw_mimo_channel(cfg, latdec.frame_rng(10, 0))
+        plan = None
+        for frame in range(frames):
+            inst = latdec.sample_vblast(cfg, latdec.frame_rng(10, 0, frame), channel=channel)
+            if plan is None:
+                plan = oracle.MlPlan(inst.H, inst.code)
+            _assert_plan_matches_reference(inst, plan)
+        assert plan.candidates is None  # a hypercube is enumerated per call
+
+
+@pytest.mark.parametrize("rest", [0.5, -1.0])
+def test_ml_plan_ties_across_chunks_match_reference(rest):
+    # 2^13 labels, two chunks of 4096.  rest=0.5: every label is at the same
+    # distance; rest=-1: one closest label in each chunk, (0,..,0) and
+    # (1,0,..,0), at the same distance
+    m = 13
+    code = LatticeCode(np.eye(m), np.zeros(m), InfoSet("hypercube", q=2))
+    received = np.full(m, rest)
+    received[0] = 0.5
+    inst = latdec.ChannelInstance(H=np.eye(m), code=code, x_true=np.zeros(m, dtype=int),
+                                  received=received)
+    res = oracle.exhaustive_ml(inst, oracle.MlPlan(inst.H, inst.code))
+    assert res.tie and not res.label.any()
+    _assert_plan_matches_reference(inst, oracle.MlPlan(inst.H, inst.code))
+
+
+def test_ml_plan_guard():
+    cfg = latdec.VblastConfig(M=16, N=16, Q=4)
+    inst = latdec.sample_vblast(cfg, latdec.frame_rng(1, 0))
+    with pytest.raises(TooLarge):
+        oracle.MlPlan(inst.H, inst.code)
 
 
 def test_exhaustive_matches_se_on_zf_constrained():

@@ -171,6 +171,47 @@ def test_form_tree_noiseless_babai_recovery():
     assert np.array_equal(info, inst.x_true)
 
 
+def _elementwise_level_view(R, y):
+    """The level view as TreeProblem built it one element at a time."""
+    m = R.shape[0]
+    lev_y = tuple(float(y[m - k]) for k in range(1, m + 1))
+    lev_rows = tuple(tuple(float(R[m - k, m - j]) for j in range(1, k + 1))
+                     for k in range(1, m + 1))
+    return lev_rows, lev_y
+
+
+def _level_view_streams():
+    isi = latdec.IsiConfig(taps=(0.848, -0.424, 0.2545, -0.1696, 0.0848), frame_len=24,
+                           gen_polys=(5, 7), rho=10.0 ** 0.65)
+    yield "isi", lambda f: latdec.build_isi_instance(isi, latdec.frame_rng(3, 0, f))
+    vb = latdec.VblastConfig(M=4, N=4, Q=2, rho=20.0)
+    yield "vblast", lambda f: latdec.sample_vblast(vb, latdec.frame_rng(3, 1, f))
+    ld = latdec.LdCodeConfig(generator_c=latdec.sim.random_unitary(6, 2), M=2, N=2, T=3,
+                             rho=20.0)
+    yield "ld", lambda f: latdec.build_ld_instance(ld, latdec.frame_rng(3, 2, f))
+
+
+LEVEL_VIEW_STREAMS = list(_level_view_streams())
+
+
+@pytest.mark.parametrize("name, frame", LEVEL_VIEW_STREAMS,
+                         ids=[name for name, _ in LEVEL_VIEW_STREAMS])
+def test_plan_level_view_equals_elementwise(name, frame):
+    inst = frame(0)
+    for right in ("none", "lll+permute"):
+        plan = latdec.prepare_tree(inst.H, inst.code, "mmse", right)
+        problems = [plan.problem_for(frame(f).received) for f in range(4)]
+        for prob in problems:
+            lev_rows, lev_y = _elementwise_level_view(prob.R, prob.y)
+            assert prob.lev_rows == lev_rows and prob.lev_y == lev_y
+            assert all(type(v) is float for row in prob.lev_rows for v in row)
+            assert all(type(v) is float for v in prob.lev_y)
+        assert all(p.lev_rows is problems[0].lev_rows for p in problems)
+        own = latdec.TreeProblem(R=plan.R, y=problems[0].y, back_map=plan.back_map,
+                                 boundary_q=None)
+        assert own.lev_rows == problems[0].lev_rows and own.lev_rows is not plan.lev_rows
+
+
 def test_node_metric_matches_vector_norm():
     rng = np.random.default_rng(6)
     inst = latdec.sample_vblast(latdec.VblastConfig(M=3, N=3), latdec.frame_rng(1, 0))

@@ -15,6 +15,9 @@ Re-recorded since:
   * effective LLL and O(m^3) ordering: node counts, labels and traces are
     unchanged, but the LLL-reduced basis is now B @ T_inv, so distances
     and path metrics moved in the last bits (at most 6.9e-15 relative).
+  * restart_schedule keeps the trace and unique-node count of every
+    attempt, not only the last one: the 22 cases with at least one restart
+    were re-recorded; their node counts and labels did not change.
 """
 
 import hashlib

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,6 +113,53 @@ def test_reproducible_csv_across_runs_and_workers():
     assert a == b
     c = sim.run_sweep(cfg, workers=2).to_csv()
     assert a == c
+
+
+def test_one_process_pool_per_sweep(monkeypatch):
+    pools = []
+
+    class CountingPool(sim.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", CountingPool)
+    cfg = sim.parse_config(_base_config(trials=60, snr_grid_db=[6.0, 9.0, 12.0]))
+    assert sim.run_sweep(cfg, workers=2).to_csv() == sim.run_sweep(cfg).to_csv()
+    assert len(pools) == 1
+
+
+ISI_ML_CHANNEL = {"type": "isi", "taps": [0.848, -0.424, 0.2545, -0.1696, 0.0848],
+                  "frame_len": 12, "gen_polys": [5, 7]}
+
+
+@pytest.mark.parametrize("channel, per_point", [
+    (ISI_ML_CHANNEL, 1),  # static: one plan per chunk of frames
+    ({"type": "vblast", "M": 2, "N": 2, "Q": 2}, 30),  # fading: one per frame
+])
+def test_ml_plan_kept_while_the_channel_is_static(monkeypatch, channel, per_point):
+    built = []
+    plan_class = latdec.oracle.MlPlan
+
+    def counting_plan(H, code):
+        built.append(H)
+        return plan_class(H, code)
+
+    monkeypatch.setattr(latdec.oracle, "MlPlan", counting_plan)
+    cfgs = [sim.parse_config(_base_config(channel=channel, decoder=decoder, trials=30,
+                                          snr_grid_db=[4.0, 8.0], shadow_oracle=True))
+            for decoder in ({"name": "ml"}, {"name": "fano", "bias": 1.0})]
+    reports = sim.compare_decoders(cfgs, collect_frames=True)
+    assert len(built) == 2 * per_point  # the shadow oracle reuses the decoder's plan
+    assert sum(p.shadow_disagreements for p in reports[0].points) == 0
+    monkeypatch.setattr(latdec.oracle, "MlPlan", plan_class)
+    ch = sim.parse_channel(channel)
+    for point, frame, _err, _nc, _uniq, dist, info in reports[0].frames:
+        rho = 10.0 ** (cfgs[0].snr_grid_db[point] / 10.0)
+        inst = sim._sample_instance(replace(ch, rho=rho),
+                                    latdec.frame_rng(5, point, frame), False, None)
+        res = latdec.exhaustive_ml(inst)  # the library path: a plan per call
+        assert tuple(int(v) for v in res.label) == info and res.distance == dist
 
 
 def test_dump_failures_independent_of_worker_count(tmp_path):
@@ -262,6 +310,28 @@ def test_cli_decode_trace_runs_the_same_decode(tmp_path, capsys):
     assert json.loads(out[out.index("{"):]) == plain
     lines = out[:out.index("{")].splitlines()
     assert lines and all(len(line.split("\t")) == 5 for line in lines)
+
+
+def test_cli_decode_trace_explains_every_restart(tmp_path, capsys):
+    # pohst with a tiny radius on a 2x2 frame: ten empty attempts, then a
+    # leaf.  n_c counts the nodes of all eleven attempts; the unique count
+    # and the trace must too (the trace has every child, and each attempt
+    # has one untraced root)
+    inst = latdec.sample_vblast(latdec.VblastConfig(M=2, N=2, Q=2, rho=10.0 ** 0.5),
+                                latdec.frame_rng(8, 0, 0))
+    preproc = {"left": "zf", "right": "permute", "boundary": "lattice"}
+    decoder = {"name": "pohst", "radius": 1e-3}
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps({"instance": json.loads(inst.to_json()),
+                                "preproc": preproc, "decoder": decoder}))
+    assert cli.main(["decode", str(path), "--trace"]) == 0
+    out = capsys.readouterr().out
+    rec = json.loads(out[out.index("{"):])
+    assert (rec["node_generations"], rec["restarts"]) == (20, 10)
+    assert len(out[:out.index("{")].splitlines()) == 20 - 11
+    problem = latdec.form_tree(inst.received, inst.H, inst.code, "zf", "permute", "lattice")
+    res = sim.decode_frame(inst, problem, sim.parse_decoder(decoder), trace=True)
+    assert res.unique == res.nc == 20 and len(res.trace) == 9
 
 
 def test_cli_decode_rejects_what_parse_config_rejects(tmp_path):
