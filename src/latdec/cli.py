@@ -16,6 +16,8 @@ Config schema (JSON object; unknown keys are rejected):
              "m-alg"|"t-alg"|"ml", ...decoder parameters..., "budget"}
   snr_grid_db [..], trials, target_frame_errors, seed, noiseless,
   fixed_channel, shadow_oracle
+
+The decoder names and their parameters come from one table, sim.DECODERS.
 """
 
 import argparse
@@ -27,7 +29,6 @@ import numpy as np
 from . import sim
 from .channels import ChannelInstance
 from .lattice import lll_reduce
-from .preprocess import form_tree
 from .search import trace_lines
 
 
@@ -40,12 +41,8 @@ def _report_json(report):
     return {"decoder": report.decoder, "rows": report.rows()}
 
 
-def cmd_simulate(args):
-    cfg = sim.parse_config(_load_json(args.config))
-    if args.shadow_oracle:
-        cfg.shadow_oracle = True
-    report = sim.run_sweep(cfg, workers=args.workers, dump_failures=args.dump_failures)
-    csv_text = report.to_csv()
+def _write_outputs(args, csv_text, report_json):
+    """CSV to --out (default stdout), the machine report to --json if given."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv_text)
@@ -53,7 +50,15 @@ def cmd_simulate(args):
         sys.stdout.write(csv_text)
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(_report_json(report), fh, indent=1)
+            json.dump(report_json, fh, indent=1)
+
+
+def cmd_simulate(args):
+    cfg = sim.parse_config(_load_json(args.config))
+    if args.shadow_oracle:
+        cfg.shadow_oracle = True
+    report = sim.run_sweep(cfg, workers=args.workers, dump_failures=args.dump_failures)
+    _write_outputs(args, report.to_csv(), _report_json(report))
     shadows = sum(p.shadow_disagreements for p in report.points)
     if cfg.shadow_oracle:
         print(f"shadow oracle disagreements: {shadows}", file=sys.stderr)
@@ -63,21 +68,9 @@ def cmd_simulate(args):
 def cmd_compare(args):
     cfgs = [sim.parse_config(_load_json(p)) for p in args.configs]
     reports = sim.compare_decoders(cfgs, workers=args.workers)
-    lines = ["decoder," + ",".join(sim.CSV_COLUMNS)]
-    for rep in reports:
-        for row in rep.rows():
-            cells = [repr(v) if isinstance(v, float) else str(v)
-                     for v in (row[c] for c in sim.CSV_COLUMNS)]
-            lines.append(rep.decoder + "," + ",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump([_report_json(r) for r in reports], fh, indent=1)
+    text = "".join([f"decoder,{reports[0].csv_lines()[0]}\n"] +
+                   [f"{rep.decoder},{line}\n" for rep in reports for line in rep.csv_lines()[1:]])
+    _write_outputs(args, text, [_report_json(r) for r in reports])
     return 0
 
 
@@ -87,11 +80,7 @@ def cmd_decode(args):
     pre = sim.parse_preproc(rec.get("preproc"))
     dec = sim.parse_decoder(rec["decoder"])
     sim.check_decoder(dec, pre, inst.H.shape[1])
-    problem = None
-    if dec.name != "ml":
-        problem = form_tree(inst.received, inst.H, inst.code, left_mode=pre.left,
-                            right_mode=pre.right, boundary=pre.boundary,
-                            lll_delta=pre.lll_delta, lll_deep=pre.lll_deep)
+    problem = None if dec.name == "ml" else pre.plan(inst.H, inst.code).problem_for(inst.received)
     res = sim.decode_frame(inst, problem, dec, trace=args.trace)
     if res.trace is not None:
         for line in trace_lines(res.trace):

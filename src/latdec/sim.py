@@ -13,13 +13,11 @@ use the natural binary map of each symbol value (decoded symbols outside
 are Wilson 95% intervals.
 """
 
-import csv
-import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,13 +33,21 @@ DUMP_LIMIT = 10  # failing decodes written per sweep by dump_failures
 # configuration
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocSpec:
+    """Receiver preprocessing; hashable, so the spec itself keys plan caches."""
+
     left: str = "mmse"
     right: str = "none"
     boundary: str = "lattice"
     lll_delta: float = 0.99
     lll_deep: bool = False
+
+    def plan(self, H, code):
+        """The TreePlan of (H, code) under this preprocessing."""
+        return prepare_tree(H, code, left_mode=self.left, right_mode=self.right,
+                            boundary=self.boundary, lll_delta=self.lll_delta,
+                            lll_deep=self.lll_deep)
 
 
 @dataclass
@@ -57,12 +63,28 @@ class DecoderSpec:
     budget: int | None = search.DEFAULT_NODE_BUDGET
 
     def label(self):
-        bits = [self.name]
-        if self.name in ("stack", "fano"):
-            bits.append(f"b={self.bias:g}")
-        if self.name == "fano":
-            bits.append(f"step={self.step:g}")
-        return " ".join(bits)
+        shown = {"bias": "b", "step": "step"}  # the parameters a report label names
+        return " ".join([self.name] + [f"{shown[k]}={getattr(self, k):g}"
+                                       for k in DECODERS[self.name][1] if k in shown])
+
+
+# name -> (tree-search policy factory, or None for the decoders with their own
+# call, and the decoder's parameter fields in order).  The factory takes the
+# fields as positional arguments; a field whose DecoderSpec default is None
+# is required.
+DECODERS = {
+    "se": (search.policy_se, ()),
+    "babai": (search.policy_babai, ()),
+    "stack": (search.policy_stack, ("bias",)),
+    "fano": (None, ("bias", "step")),
+    "pohst": (search.policy_pohst, ("radius",)),
+    "vb": (search.policy_vb, ("radius",)),
+    "ir": (search.policy_ir, ("bounds",)),
+    "ep": (search.policy_ep, ("weights",)),
+    "m-alg": (search.policy_m_algorithm, ("M",)),
+    "t-alg": (search.policy_t_algorithm, ("T",)),
+    "ml": (None, ()),
+}
 
 
 @dataclass
@@ -85,15 +107,6 @@ _CHANNEL_KEYS = {
     "isi": {"type", "taps", "frame_len", "Q", "rho", "gen_polys"},
 }
 _PREPROC_KEYS = {"left", "right", "boundary", "lll_delta", "lll_deep"}
-_DECODER_KEYS = {
-    "se": set(), "babai": set(), "ml": set(),
-    "stack": {"bias"}, "fano": {"bias", "step"},
-    "pohst": {"radius"}, "vb": {"radius"},
-    "ir": {"bounds"}, "ep": {"weights"},
-    "m-alg": {"M"}, "t-alg": {"T"},
-}
-_REQUIRED = {"pohst": "radius", "vb": "radius", "ir": "bounds", "ep": "weights",
-             "m-alg": "M", "t-alg": "T"}
 _TOP_KEYS = {"channel", "preproc", "decoder", "snr_grid_db", "trials",
              "target_frame_errors", "seed", "noiseless", "fixed_channel",
              "shadow_oracle"}
@@ -157,17 +170,19 @@ def parse_decoder(d):
     if not isinstance(d, dict) or "name" not in d:
         raise ConfigError("decoder config must be an object with a 'name'")
     name = d["name"]
-    if name not in _DECODER_KEYS:
+    if name not in DECODERS:
         raise ConfigError(f"unknown decoder {name!r}")
-    _check_keys(d, _DECODER_KEYS[name] | {"name", "budget"}, f"decoder {name!r} config")
+    params = DECODERS[name][1]
+    _check_keys(d, {"name", "budget", *params}, f"decoder {name!r} config")
     kwargs = {k: v for k, v in d.items() if k != "name"}
     if "bounds" in kwargs:
         kwargs["bounds"] = tuple(kwargs["bounds"])
     if "weights" in kwargs:
         kwargs["weights"] = tuple(kwargs["weights"])
     spec = DecoderSpec(name=name, **kwargs)
-    if name in _REQUIRED and getattr(spec, _REQUIRED[name]) is None:
-        raise ConfigError(f"decoder {name!r} needs the field {_REQUIRED[name]!r}")
+    for key in params:
+        if getattr(spec, key) is None:
+            raise ConfigError(f"decoder {name!r} needs the field {key!r}")
     for key in ("bias", "step"):
         value = getattr(spec, key)
         if not _is_number(value) or not math.isfinite(value):
@@ -276,35 +291,15 @@ class FrameResult:
     trace: list | None = None  # node trace of the search, when asked for
 
 
-def _policy_for(dec: DecoderSpec):
-    if dec.name == "se":
-        return search.policy_se()
-    if dec.name == "babai":
-        return search.policy_babai()
-    if dec.name == "stack":
-        return search.policy_stack(dec.bias)
-    if dec.name == "pohst":
-        return search.policy_pohst(dec.radius)
-    if dec.name == "vb":
-        return search.policy_vb(dec.radius)
-    if dec.name == "ir":
-        return search.policy_ir(dec.bounds)
-    if dec.name == "ep":
-        return search.policy_ep(dec.weights)
-    if dec.name == "m-alg":
-        return search.policy_m_algorithm(dec.M)
-    if dec.name == "t-alg":
-        return search.policy_t_algorithm(dec.T)
-    raise ConfigError(f"decoder {dec.name!r} has no tree policy")
-
-
 def decode_frame(instance, problem, dec: DecoderSpec, trace=False):
     """Decode one preprocessed frame with the configured decoder.
 
     problem is the frame's TreeProblem for a tree search; for exhaustive
     ML it is an oracle.MlPlan of the frame's channel, or None to build one.
-    With trace=True the tree search also records its node trace (see
-    search.trace_lines); exhaustive ML has none.
+    Every branch-and-bound decoder runs through search.restart_schedule,
+    which relaxes a finite bound while the search space is empty and makes
+    one attempt otherwise.  With trace=True the tree search also records
+    its node trace (see search.trace_lines); exhaustive ML has none.
     """
     if dec.name == "ml":
         res = oracle.exhaustive_ml(instance, problem)
@@ -314,13 +309,9 @@ def decode_frame(instance, problem, dec: DecoderSpec, trace=False):
         out = search.fano_decode(problem, bias=dec.bias, step=dec.step,
                                  node_budget=dec.budget, collect_trace=trace)
     else:
-        policy = _policy_for(dec)
-        if dec.budget != search.DEFAULT_NODE_BUDGET:
-            policy = replace(policy, node_budget=dec.budget)
-        if dec.name in ("pohst", "vb", "ir", "ep"):
-            out = search.restart_schedule(problem, policy, collect_trace=trace)
-        else:
-            out = search.gbb_run(problem, policy, collect_trace=trace)
+        factory, params = DECODERS[dec.name]
+        policy = replace(factory(*(getattr(dec, k) for k in params)), node_budget=dec.budget)
+        out = search.restart_schedule(problem, policy, collect_trace=trace)
     return FrameResult(info=apply_back_map(out.decoded_label, problem.back_map),
                        nc=out.node_generations, unique=out.unique_nodes,
                        restarts=out.restarts, budget_hit=out.budget_hit,
@@ -351,18 +342,24 @@ class PointStats:
     trials: int = 0
     frame_errors: int = 0
     bit_errors: int = 0
+    info_bits: int = 0  # information bits compared, over all frames
     nc_values: list = field(default_factory=list)
     restarts: int = 0
     budget_hits: int = 0
     shadow_disagreements: int = 0
     dim: int = 1
-    info_bits: int = 1  # bits per frame
+
+    def add(self, other):
+        """Add the counts of other, more frames of the same point."""
+        for f in fields(self):
+            if f.name not in ("snr_db", "dim"):
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def row(self):
         n = self.trials
         fer = self.frame_errors / n if n else float("nan")
         lo, hi = wilson_ci(self.frame_errors, n)
-        ber = self.bit_errors / (n * self.info_bits) if n else float("nan")
+        ber = self.bit_errors / self.info_bits if n else float("nan")
         nc = np.asarray(self.nc_values, dtype=float) if self.nc_values else np.array([float("nan")])
         return {
             "snr_db": self.snr_db,
@@ -391,40 +388,42 @@ CSV_COLUMNS = ["snr_db", "trials", "frame_errors", "fer", "fer_ci_lo", "fer_ci_h
 class SweepReport:
     decoder: str
     points: list
-    frames: list | None = None  # per-frame (point_idx, frame_idx, err, nc, distance)
+    frames: list | None = None  # per frame (point, frame, err, nc, unique, distance, info)
 
     def rows(self):
         return [p.row() for p in self.points]
 
+    def csv_lines(self):
+        """The header and one line per point; floats as repr, so no bit is lost."""
+        cells = ([repr(v) if isinstance(v, float) else str(v) for v in map(row.get, CSV_COLUMNS)]
+                 for row in self.rows())
+        return [",".join(CSV_COLUMNS)] + [",".join(c) for c in cells]
+
     def to_csv(self):
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        w.writeheader()
-        for row in self.rows():
-            w.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
-        return buf.getvalue()
+        return "".join(line + "\n" for line in self.csv_lines())
 
     def fer_curve(self):
         return [(p.snr_db, p.frame_errors / p.trials if p.trials else float("nan"))
                 for p in self.points]
 
 
-def _run_frames(cfgs, rho, point_idx, start, count, collect_frames, dump_limit=0):
+def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limit=0):
     """Decode frames [start, start+count) of one SNR point for every config.
 
-    Returns per-config lists of compact frame tuples
-    (err, bit_errs, nc, unique, restarts, budget_hit, distance, shadow_bad,
-    info), and (point_idx, frame, config index, instance JSON) of the first
-    `dump_limit` failing decodes in frame order.
+    Returns one PointStats per config, per config the frame records
+    (point_idx, frame, err, nc, unique, distance, info) when collect_frames
+    is set (else empty lists), and (point_idx, frame, config index,
+    instance JSON) of the first `dump_limit` failing decodes in frame order.
     """
     base = cfgs[0]
-    ch_cfg = replace(base.channel, rho=rho)
+    ch_cfg = replace(base.channel, rho=10.0 ** (snr_db / 10.0))
     fixture = None
     if base.fixed_channel and not isinstance(ch_cfg, channels.IsiConfig):
         fixture = channels.draw_mimo_channel(ch_cfg, channels.frame_rng(base.seed, point_idx))
-    plans = {}  # TreePlans keyed by preproc spec, shared between configs; "ml": MlPlan
+    plans = {}  # TreePlans keyed by PreprocSpec, shared between configs; "ml": MlPlan
     static_channel = base.fixed_channel or isinstance(ch_cfg, channels.IsiConfig)
-    results = [[] for _ in cfgs]
+    stats = [PointStats(snr_db=snr_db) for _ in cfgs]
+    frames = [[] for _ in cfgs]
     failures = []
     for frame in range(start, start + count):
         rng = channels.frame_rng(base.seed, point_idx, frame)
@@ -434,34 +433,34 @@ def _run_frames(cfgs, rho, point_idx, start, count, collect_frames, dump_limit=0
         if not static_channel:
             plans.clear()
         for ci, cfg in enumerate(cfgs):
-            dec = cfg.decoder
-            if dec.name == "ml":
+            if cfg.decoder.name == "ml":
                 problem = _ml_plan(plans, inst)
             else:
-                key = (cfg.preproc.left, cfg.preproc.right, cfg.preproc.boundary,
-                       cfg.preproc.lll_delta, cfg.preproc.lll_deep)
-                if key not in plans:
-                    plans[key] = prepare_tree(
-                        inst.H, inst.code, left_mode=cfg.preproc.left,
-                        right_mode=cfg.preproc.right, boundary=cfg.preproc.boundary,
-                        lll_delta=cfg.preproc.lll_delta, lll_deep=cfg.preproc.lll_deep)
-                problem = plans[key].problem_for(inst.received)
-            res = decode_frame(inst, problem, dec)
+                if cfg.preproc not in plans:
+                    plans[cfg.preproc] = cfg.preproc.plan(inst.H, inst.code)
+                problem = plans[cfg.preproc].problem_for(inst.received)
+            res = decode_frame(inst, problem, cfg.decoder)
             err = not np.array_equal(res.info, inst.x_true)
-            bits = _bit_errors(res.info, inst.x_true, cfg.channel.Q, info_len)
-            shadow_bad = 0
+            st = stats[ci]
+            st.trials += 1
+            st.frame_errors += int(err)
+            st.bit_errors += _bit_errors(res.info, inst.x_true, cfg.channel.Q, info_len)
+            st.info_bits += info_len * _bits_per_symbol(cfg.channel.Q)
+            st.nc_values.append(res.nc)
+            st.restarts += res.restarts
+            st.budget_hits += int(res.budget_hit)
             if cfg.shadow_oracle:
                 if ml_res is None:
                     ml_res = oracle.exhaustive_ml(inst, _ml_plan(plans, inst))
                 d_dec = _channel_distance(inst, res.info)
                 if d_dec > ml_res.distance * (1 + 1e-9) + 1e-9:
-                    shadow_bad = 1
+                    st.shadow_disagreements += 1
             if err and len(failures) < dump_limit:
                 failures.append((point_idx, frame, ci, inst.to_json()))
-            results[ci].append((err, bits, res.nc, res.unique, res.restarts,
-                                int(res.budget_hit), res.distance, shadow_bad,
-                                tuple(int(v) for v in res.info) if collect_frames else None))
-    return results, failures
+            if collect_frames:
+                frames[ci].append((point_idx, frame, int(err), res.nc, res.unique, res.distance,
+                                   tuple(int(v) for v in res.info)))
+    return stats, frames, failures
 
 
 def _ml_plan(plans, inst):
@@ -494,10 +493,8 @@ def compare_decoders(cfgs, workers=1, collect_frames=False, dump_failures=None):
         for point_idx, snr_db in enumerate(base.snr_grid_db):
             stats = _sweep_point(cfgs, pool, workers, point_idx, snr_db, collect_frames,
                                  reports, failures, dump_limit)
-            for ci, cfg in enumerate(cfgs):
-                stats[ci].dim = _problem_dim(cfg.channel)
-                stats[ci].info_bits = _info_symbols(cfg.channel) * _bits_per_symbol(cfg.channel.Q)
-                reports[ci].points.append(stats[ci])
+            for rep, st in zip(reports, stats):
+                rep.points.append(st)
     if dump_failures is not None:
         _write_failures(dump_failures, failures, cfgs)
     return reports
@@ -509,8 +506,7 @@ def _sweep_point(cfgs, pool, workers, point_idx, snr_db, collect_frames, reports
     trial budget or the stopping rule ends it; returns one PointStats per
     config and appends to the reports' frames and to failures."""
     base = cfgs[0]
-    rho = 10.0 ** (snr_db / 10.0)
-    stats = [PointStats(snr_db=snr_db) for _ in cfgs]
+    stats = [PointStats(snr_db=snr_db, dim=_problem_dim(c.channel)) for c in cfgs]
     target = base.target_frame_errors
     start = 0
     while start < base.trials:
@@ -519,30 +515,21 @@ def _sweep_point(cfgs, pool, workers, point_idx, snr_db, collect_frames, reports
             if start >= base.trials:
                 break
             count = min(CHUNK, base.trials - start)
-            jobs.append((start, count))
+            jobs.append((cfgs, snr_db, point_idx, start, count, collect_frames,
+                         dump_limit - len(failures)))
             start += count
-        limit = dump_limit - len(failures)
-        args = [(cfgs, rho, point_idx, s, c, collect_frames, limit) for s, c in jobs]
         if pool is None:
-            chunk_results = [_run_frames(*a) for a in args]
+            chunk_results = [_run_frames(*a) for a in jobs]
         else:
-            futs = [pool.submit(_run_frames, *a) for a in args]
+            futs = [pool.submit(_run_frames, *a) for a in jobs]
             chunk_results = [f.result() for f in futs]
-        for (s, c), (per_cfg, fails) in zip(jobs, chunk_results):
+        for chunk_stats, chunk_frames, fails in chunk_results:
             failures.extend(fails[:dump_limit - len(failures)])
-            for ci, rows in enumerate(per_cfg):
-                st = stats[ci]
-                for fi, (err, bits, nc, uniq, rs, bh, dist, sb, info) in enumerate(rows):
-                    st.trials += 1
-                    st.frame_errors += int(err)
-                    st.bit_errors += bits
-                    st.nc_values.append(nc)
-                    st.restarts += rs
-                    st.budget_hits += bh
-                    st.shadow_disagreements += sb
-                    if collect_frames:
-                        reports[ci].frames.append(
-                            (point_idx, s + fi, int(err), nc, uniq, dist, info))
+            for st, chunk_st in zip(stats, chunk_stats):
+                st.add(chunk_st)
+            if collect_frames:
+                for rep, recs in zip(reports, chunk_frames):
+                    rep.frames.extend(recs)
             if target is not None and all(st.frame_errors >= target for st in stats):
                 return stats
     return stats
@@ -569,28 +556,17 @@ def _problem_dim(ch_cfg):
     return ch_cfg.frame_len
 
 
-def _info_symbols(ch_cfg):
-    if isinstance(ch_cfg, channels.IsiConfig) and ch_cfg.gen_polys is not None:
-        taps = [channels._poly_bits(p) for p in ch_cfg.gen_polys]
-        mem = max(len(t) for t in taps) - 1
-        return ch_cfg.frame_len // len(ch_cfg.gen_polys) - mem
-    return _problem_dim(ch_cfg)
-
-
 def _write_failures(path, records, cfgs):
     import os
     os.makedirs(path, exist_ok=True)
     for point_idx, frame, ci, inst_json in records:
         cfg = cfgs[ci]
         dec = cfg.decoder
-        dec_rec = {"name": dec.name, "budget": dec.budget}
-        for key in _DECODER_KEYS[dec.name]:
-            if getattr(dec, key) is not None:
-                dec_rec[key] = getattr(dec, key)
         rec = {
             "instance": json.loads(inst_json),
             "preproc": vars(cfg.preproc),
-            "decoder": dec_rec,
+            "decoder": {"name": dec.name, "budget": dec.budget,
+                        **{k: getattr(dec, k) for k in DECODERS[dec.name][1]}},
             "point": point_idx,
             "frame": frame,
         }
