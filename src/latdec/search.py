@@ -309,6 +309,7 @@ def _finish(problem, name, label, distance, n_c, budget_hit, unique=None, **extr
         err = EmptySearchSpace(f"policy {name}: no leaf within the bounds")
         err.node_generations = n_c
         err.unique_nodes = n_c if unique is None else unique
+        err.gen_per_level = extra.get("gen_per_level")
         err.trace = extra.get("trace")
         raise err
     return SearchOutcome(decoded_label=label, distance=distance, node_generations=n_c,
@@ -504,11 +505,12 @@ def gbb_run(problem: TreeProblem, policy: SearchPolicy, collect_trace=False):
 
 def restart_schedule(problem, policy, factor=2.0, max_restarts=64, collect_trace=False):
     """Run gbb_run, relaxing finite bounds by `factor` whenever the search
-    space turns out to be empty.  Restarts, node counts, unique nodes and
-    the trace accumulate over the attempts: the trace holds every child
-    generated by every attempt, so n_c is its length plus one root per
-    attempt."""
+    space turns out to be empty.  Restarts, node counts, unique nodes,
+    per-level counts and the trace accumulate over the attempts: the trace
+    holds every child generated by every attempt, so n_c is its length
+    plus one root per attempt, and the per-level counts sum to n_c."""
     total = unique = 0
+    per_level = [0] * (problem.m + 1)
     trace = [] if collect_trace else None
     restarts = 0
     pol = policy
@@ -517,6 +519,8 @@ def restart_schedule(problem, policy, factor=2.0, max_restarts=64, collect_trace
             out = gbb_run(problem, pol, collect_trace=collect_trace)
             out.node_generations += total
             out.unique_nodes += unique
+            if restarts:
+                out.gen_per_level = [a + b for a, b in zip(per_level, out.gen_per_level)]
             if collect_trace:
                 out.trace = trace + out.trace
             out.restarts = restarts
@@ -524,6 +528,7 @@ def restart_schedule(problem, policy, factor=2.0, max_restarts=64, collect_trace
         except EmptySearchSpace as err:
             total += err.node_generations
             unique += err.unique_nodes
+            per_level = [a + b for a, b in zip(per_level, err.gen_per_level)]
             if collect_trace:
                 trace += err.trace
             restarts += 1

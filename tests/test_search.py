@@ -114,6 +114,16 @@ def test_pohst_below_minimum_raises_and_restarts():
     assert out.distance == pytest.approx(d_min)
 
 
+def test_restart_schedule_per_level_counts_cover_every_attempt():
+    # ten empty attempts before a leaf: the per-level counts, like n_c,
+    # must add up over all of them
+    _, prob = _random_problem(4, M=2, right="lll+permute")
+    out = restart_schedule(prob, policy_pohst(1e-3))
+    assert (out.node_generations, out.restarts) == (15, 10)
+    assert sum(out.gen_per_level) == out.node_generations
+    assert out.gen_per_level[0] == out.restarts + 1  # one root per attempt
+
+
 def test_restart_schedule_infinite_radius_no_restarts():
     _, prob = _random_problem(4, M=2)
     out = restart_schedule(prob, policy_se())

@@ -18,6 +18,9 @@ Re-recorded since:
   * restart_schedule keeps the trace and unique-node count of every
     attempt, not only the last one: the 22 cases with at least one restart
     were re-recorded; their node counts and labels did not change.
+  * restart_schedule also sums the per-level counts of every attempt, so
+    they add up to n_c: the same 22 cases were re-recorded; node counts,
+    labels and trace lines did not change.
 """
 
 import hashlib
