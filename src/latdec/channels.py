@@ -197,6 +197,17 @@ def _poly_bits(p):
     return bits or [0]
 
 
+def conv_info_len(gen_polys, frame_len):
+    """Information symbols in a frame of frame_len coded symbols of the
+    zero-tail terminated rate-1/n code; DimensionMismatch when none fit."""
+    mem = max(len(_poly_bits(p)) for p in gen_polys) - 1
+    n_out = len(gen_polys)
+    if frame_len % n_out != 0 or frame_len // n_out - mem < 1:
+        raise DimensionMismatch(
+            f"frame_len {frame_len} incompatible with rate-1/{n_out} code of memory {mem}")
+    return frame_len // n_out - mem
+
+
 def conv_generator_matrix(gen_polys, info_len):
     """Zero-tail terminated convolutional code as an (m x k) binary matrix.
 
@@ -275,13 +286,7 @@ def coded_labels(P, q, u):
 def _isi_lattice(gen_polys, frame, q, kappa, explicit_limit):
     """Construction-A lattice code of a terminated convolutional code; cached
     because it is identical for every frame of a sweep."""
-    taps = [_poly_bits(p) for p in gen_polys]
-    mem = max(len(t) for t in taps) - 1
-    n_out = len(gen_polys)
-    if frame % n_out != 0 or frame // n_out - mem < 1:
-        raise DimensionMismatch(
-            f"frame_len {frame} incompatible with rate-1/{n_out} code of memory {mem}")
-    k = frame // n_out - mem
+    k = conv_info_len(gen_polys, frame)
     P, perm = conv_code_systematic(gen_polys, k)
     Ga_perm = construction_a(P, q)
     Ga = np.zeros_like(Ga_perm)

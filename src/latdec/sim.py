@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import channels, oracle, search
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, DimensionMismatch
 from .preprocess import apply_back_map, prepare_tree
 
 CHUNK = 512  # stopping-rule granularity (fixed: determinism across workers)
@@ -106,6 +106,7 @@ _CHANNEL_KEYS = {
     "ld": {"type", "M", "N", "T", "Q", "rho", "generator", "generator_seed"},
     "isi": {"type", "taps", "frame_len", "Q", "rho", "gen_polys"},
 }
+_CHANNEL_MINIMA = {"M": 1, "N": 1, "T": 1, "frame_len": 1, "Q": 2}  # integer fields
 _PREPROC_KEYS = {"left", "right", "boundary", "lll_delta", "lll_deep"}
 _TOP_KEYS = {"channel", "preproc", "decoder", "snr_grid_db", "trials",
              "target_frame_errors", "seed", "noiseless", "fixed_channel",
@@ -133,6 +134,10 @@ def parse_channel(d):
     if typ not in _CHANNEL_KEYS:
         raise ConfigError(f"unknown channel type {typ!r}")
     _check_keys(d, _CHANNEL_KEYS[typ], f"{typ} channel config")
+    for key, least in _CHANNEL_MINIMA.items():
+        if key in d and not (_is_int(d[key]) and d[key] >= least):
+            raise ConfigError(f"channel field {key!r} must be an integer >= {least}, "
+                              f"got {d[key]!r}")
     try:
         if typ == "vblast":
             return channels.VblastConfig(M=d["M"], N=d["N"], Q=d.get("Q", 2),
@@ -146,11 +151,17 @@ def parse_channel(d):
                 gen_c = random_unitary(s, d.get("generator_seed", 0))
             return channels.LdCodeConfig(generator_c=gen_c, M=d["M"], N=d["N"],
                                          T=d["T"], Q=d.get("Q", 2), rho=d.get("rho", 10.0))
-        return channels.IsiConfig(taps=tuple(d["taps"]), frame_len=d["frame_len"],
-                                  Q=d.get("Q", 2), rho=d.get("rho", 10.0),
-                                  gen_polys=tuple(d["gen_polys"]) if d.get("gen_polys") else None)
+        ch = channels.IsiConfig(taps=tuple(d["taps"]), frame_len=d["frame_len"],
+                                Q=d.get("Q", 2), rho=d.get("rho", 10.0),
+                                gen_polys=tuple(d["gen_polys"]) if d.get("gen_polys") else None)
     except KeyError as err:
         raise ConfigError(f"missing channel field {err.args[0]!r}") from None
+    if ch.gen_polys is not None:
+        try:
+            channels.conv_info_len(ch.gen_polys, ch.frame_len)
+        except DimensionMismatch as err:
+            raise ConfigError(f"channel field 'frame_len': {err}") from None
+    return ch
 
 
 def parse_preproc(d):
@@ -163,6 +174,12 @@ def parse_preproc(d):
         raise ConfigError(f"unknown right mode {spec.right!r}")
     if spec.boundary not in ("lattice", "constrained"):
         raise ConfigError(f"unknown boundary {spec.boundary!r}")
+    if not (_is_number(spec.lll_delta) and 0.25 < spec.lll_delta <= 1):
+        raise ConfigError(f"preproc field 'lll_delta' must lie in (0.25, 1], "
+                          f"got {spec.lll_delta!r}")
+    if not isinstance(spec.lll_deep, bool):
+        raise ConfigError(f"preproc field 'lll_deep' must be true or false, "
+                          f"got {spec.lll_deep!r}")
     return spec
 
 
@@ -174,28 +191,45 @@ def parse_decoder(d):
         raise ConfigError(f"unknown decoder {name!r}")
     params = DECODERS[name][1]
     _check_keys(d, {"name", "budget", *params}, f"decoder {name!r} config")
-    kwargs = {k: v for k, v in d.items() if k != "name"}
-    if "bounds" in kwargs:
-        kwargs["bounds"] = tuple(kwargs["bounds"])
-    if "weights" in kwargs:
-        kwargs["weights"] = tuple(kwargs["weights"])
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items() if k != "name"}
     spec = DecoderSpec(name=name, **kwargs)
     for key in params:
         if getattr(spec, key) is None:
             raise ConfigError(f"decoder {name!r} needs the field {key!r}")
-    for key in ("bias", "step"):
+    for key, (what, ok) in _DECODER_FIELD_RULES.items():
         value = getattr(spec, key)
-        if not _is_number(value) or not math.isfinite(value):
-            raise ConfigError(f"decoder field {key!r} must be a finite number, got {value!r}")
-    if spec.step <= 0:
-        raise ConfigError(f"decoder field 'step' must be positive, got {spec.step!r}")
-    if spec.radius is not None and not (_is_number(spec.radius) and spec.radius > 0):
-        raise ConfigError(f"decoder field 'radius' must be a positive number, got {spec.radius!r}")
+        if value is not None and not ok(value):
+            raise ConfigError(f"decoder field {key!r} must be {what}, got {value!r}")
     return spec
 
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive(value):
+    return _is_number(value) and value > 0  # False for NaN
+
+
+def _positive_list(value):
+    return isinstance(value, tuple) and all(map(_positive, value))
+
+
+# what a decoder field must be when it is set: (description, test)
+_DECODER_FIELD_RULES = {
+    "bias": ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
+    "step": ("a positive finite number", lambda v: _positive(v) and math.isfinite(v)),
+    "radius": ("a positive number", _positive),
+    "bounds": ("a list of positive numbers", _positive_list),
+    "weights": ("a list of positive numbers", _positive_list),
+    "M": ("a positive integer", lambda v: _is_int(v) and v >= 1),
+    "T": ("a non-negative number", lambda v: _is_number(v) and v >= 0),
+    "budget": ("a positive integer or null", lambda v: _is_int(v) and v >= 1),
+}
 
 
 def check_decoder(decoder, preproc, dim):
@@ -226,12 +260,15 @@ def parse_config(d):
     preproc = parse_preproc(d.get("preproc"))
     decoder = parse_decoder(d["decoder"])
     check_decoder(decoder, preproc, _problem_dim(channel))
+    if not (_is_int(d["trials"]) and d["trials"] >= 0):
+        raise ConfigError(f"config field 'trials' must be a non-negative integer, "
+                          f"got {d['trials']!r}")
     return ExperimentConfig(
         channel=channel,
         preproc=preproc,
         decoder=decoder,
         snr_grid_db=tuple(float(s) for s in d["snr_grid_db"]),
-        trials=int(d["trials"]),
+        trials=d["trials"],
         target_frame_errors=d.get("target_frame_errors", 100),
         seed=int(d.get("seed", 0)),
         noiseless=bool(d.get("noiseless", False)),

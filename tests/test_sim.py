@@ -38,6 +38,11 @@ def test_parse_config_rejects_unknown_keys():
         sim.parse_config(bad3)
 
 
+ISI_ML_CHANNEL = {"type": "isi", "taps": [0.848, -0.424, 0.2545, -0.1696, 0.0848],
+                  "frame_len": 12, "gen_polys": [5, 7]}
+BOX = {"left": "zf", "right": "none", "boundary": "constrained"}
+
+
 def _tiny_plan():
     inst = latdec.sample_vblast(latdec.VblastConfig(M=2, N=2), latdec.frame_rng(1, 0))
     return inst, latdec.prepare_tree(inst.H, inst.code)
@@ -70,6 +75,23 @@ def _with_nan(a):
     (lambda: _base_config(decoder={"name": "ir", "bounds": [1, 2]}), ConfigError, "'bounds'"),
     (lambda: _base_config(decoder={"name": "ep", "weights": [1, 2, 3, 4, 5]}), ConfigError,
      "'weights'"),
+    (lambda: _base_config(channel=dict(ISI_ML_CHANNEL, frame_len=25)), ConfigError,
+     "'frame_len'"),
+    (lambda: _base_config(channel=dict(ISI_ML_CHANNEL, frame_len=0)), ConfigError,
+     "'frame_len'"),
+    (lambda: _base_config(channel=dict(ISI_ML_CHANNEL, Q=1)), ConfigError, "'Q'"),
+    (lambda: _base_config(channel={"type": "ld", "M": 2, "N": 2, "T": 0}), ConfigError, "'T'"),
+    (lambda: _base_config(channel={"type": "vblast", "M": 2, "N": 2, "Q": 1}), ConfigError,
+     "'Q'"),
+    (lambda: _base_config(preproc={"right": "lll", "lll_delta": 2.0}), ConfigError,
+     "'lll_delta'"),
+    (lambda: _base_config(decoder={"name": "ir", "bounds": ["a", "b", "c", "d"]}),
+     ConfigError, "'bounds'"),
+    (lambda: _base_config(preproc=BOX, decoder={"name": "m-alg", "M": 0}), ConfigError, "'M'"),
+    (lambda: _base_config(preproc=BOX, decoder={"name": "t-alg", "T": -1}), ConfigError,
+     "'T'"),
+    (lambda: _base_config(decoder={"name": "se", "budget": 0}), ConfigError, "'budget'"),
+    (lambda: _base_config(trials=-3), ConfigError, "'trials'"),
     (lambda: _tiny_plan()[1].problem_for(_with_nan(_tiny_plan()[0].received)),
      ValueError, "^received"),
     (lambda: latdec.prepare_tree(_with_nan(_tiny_plan()[0].H), _tiny_plan()[0].code),
@@ -78,7 +100,9 @@ def _with_nan(a):
         "m-alg-lattice", "t-alg-lattice", "fano-step-0", "fano-step-negative",
         "fano-step-inf", "fano-bias-nan", "stack-bias-inf", "pohst-radius-0",
         "vb-radius-negative", "pohst-radius-nan", "ir-bounds-length", "ep-weights-length",
-        "received-nan", "H-nan"])
+        "isi-frame-len-code", "isi-frame-len-0", "isi-Q-1", "ld-T-0", "vblast-Q-1",
+        "lll-delta-2", "ir-bounds-text", "m-alg-M-0", "t-alg-T-negative", "budget-0",
+        "trials-negative", "received-nan", "H-nan"])
 def test_bad_input_fails_early_naming_the_field(build, error, match):
     with pytest.raises(error, match=match):
         built = build()
@@ -127,10 +151,6 @@ def test_one_process_pool_per_sweep(monkeypatch):
     cfg = sim.parse_config(_base_config(trials=60, snr_grid_db=[6.0, 9.0, 12.0]))
     assert sim.run_sweep(cfg, workers=2).to_csv() == sim.run_sweep(cfg).to_csv()
     assert len(pools) == 1
-
-
-ISI_ML_CHANNEL = {"type": "isi", "taps": [0.848, -0.424, 0.2545, -0.1696, 0.0848],
-                  "frame_len": 12, "gen_polys": [5, 7]}
 
 
 @pytest.mark.parametrize("channel, per_point", [
