@@ -1,0 +1,45 @@
+"""The decoder table and its documentation cannot drift apart.
+
+README's config schema and the ``latdec`` help text list the decoder names,
+and README lists each decoder's parameters; both must equal
+``sim.DECODERS``.
+"""
+
+import os
+import re
+
+from latdec import cli, sim
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme():
+    with open(README) as fh:
+        return fh.read()
+
+
+def _decoder_names(text):
+    """The names of the first `"name": "a" | "b" | ...` alternative list in text."""
+    names = re.search(r'"name":\s*((?:"[\w-]+"\s*\|\s*)+"[\w-]+")', text).group(1)
+    return re.findall(r'"([\w-]+)"', names)
+
+
+def test_readme_lists_the_decoder_table():
+    assert _decoder_names(_readme()) == list(sim.DECODERS)
+
+
+def test_cli_help_lists_the_decoder_table():
+    assert _decoder_names(cli.__doc__) == list(sim.DECODERS)
+
+
+def test_readme_lists_each_decoders_parameters():
+    # "parameters by decoder: bias (stack/fano), step (fano), ...;" over
+    # several // comment lines
+    text = re.sub(r"\s*//\s*", " ", _readme())
+    line = re.search(r"parameters by decoder:([^;]*);", text).group(1)
+    documented = {}
+    for key, names in re.findall(r"(\w+) \(([\w/-]+)\)", line):
+        for name in names.split("/"):
+            documented.setdefault(name, []).append(key)
+    assert documented == {name: list(params) for name, (_, params) in sim.DECODERS.items()
+                          if params}

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -191,6 +194,24 @@ def test_dump_failures_independent_of_worker_count(tmp_path):
         out = tmp_path / f"workers{workers}"
         sim.run_sweep(cfg, workers=workers, dump_failures=str(out))
         dumped.append({p.name: p.read_text() for p in out.glob("*.json")})
+    assert len(dumped[0]) == sim.DUMP_LIMIT
+    assert dumped[0] == dumped[1]
+
+
+def test_dump_failures_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # decoder parameters are written in the decoder table's order, so a Fano
+    # record reads the same under any PYTHONHASHSEED
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_base_config(
+        trials=60, snr_grid_db=[4.0], decoder={"name": "fano", "bias": 1.0, "step": 0.5})))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(latdec.__file__)))
+    dumped = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"hashseed{seed}"
+        subprocess.run([sys.executable, "-m", "latdec.cli", "simulate", str(cfg),
+                        "--out", str(tmp_path / "sweep.csv"), "--dump-failures", str(out)],
+                       env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src), check=True)
+        dumped.append({p.name: p.read_bytes() for p in out.glob("*.json")})
     assert len(dumped[0]) == sim.DUMP_LIMIT
     assert dumped[0] == dumped[1]
 
