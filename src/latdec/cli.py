@@ -68,9 +68,9 @@ def cmd_simulate(args):
 def cmd_compare(args):
     cfgs = [sim.parse_config(_load_json(p)) for p in args.configs]
     reports = sim.compare_decoders(cfgs, workers=args.workers)
-    text = "".join([f"decoder,{reports[0].csv_lines()[0]}\n"] +
-                   [f"{rep.decoder},{line}\n" for rep in reports for line in rep.csv_lines()[1:]])
-    _write_outputs(args, text, [_report_json(r) for r in reports])
+    lines = [f"decoder,{reports[0].csv_lines()[0]}"]
+    lines += [f"{rep.decoder},{line}" for rep in reports for line in rep.csv_lines()[1:]]
+    _write_outputs(args, "\n".join(lines) + "\n", [_report_json(r) for r in reports])
     return 0
 
 
