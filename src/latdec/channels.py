@@ -147,6 +147,14 @@ def sample_vblast(cfg: VblastConfig, rng, noiseless=False, channel=None):
     return ChannelInstance(H=H, code=code, x_true=x, received=received)
 
 
+def random_unitary(s, seed):
+    """Deterministic complex unitary via QR of a seeded Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+    Q, R = np.linalg.qr(A)
+    return Q * np.sign(np.diag(R))[np.newaxis, :]
+
+
 def build_ld_instance(cfg: LdCodeConfig, rng, noiseless=False, channel=None):
     """Draw one linear-dispersion coded frame.
 

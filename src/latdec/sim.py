@@ -119,14 +119,6 @@ def _check_keys(d, allowed, where):
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
-def random_unitary(s, seed):
-    """Deterministic complex unitary via QR of a seeded Gaussian matrix."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
-    Q, R = np.linalg.qr(A)
-    return Q * np.sign(np.diag(R))[np.newaxis, :]
-
-
 def parse_channel(d):
     if not isinstance(d, dict) or "type" not in d:
         raise ConfigError("channel config must be an object with a 'type'")
@@ -148,7 +140,7 @@ def parse_channel(d):
                 gen = np.asarray(d["generator"], dtype=float)
                 gen_c = gen[..., 0] + 1j * gen[..., 1]
             else:
-                gen_c = random_unitary(s, d.get("generator_seed", 0))
+                gen_c = channels.random_unitary(s, d.get("generator_seed", 0))
             return channels.LdCodeConfig(generator_c=gen_c, M=d["M"], N=d["N"],
                                          T=d["T"], Q=d.get("Q", 2), rho=d.get("rho", 10.0))
         ch = channels.IsiConfig(taps=tuple(d["taps"]), frame_len=d["frame_len"],

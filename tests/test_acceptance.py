@@ -246,7 +246,7 @@ def test_criterion_9_preprocessing_benefit():
 
 def test_criterion_10_underdetermined_ld():
     gen_seed = 9
-    gen = sim.random_unitary(9, gen_seed)
+    gen = latdec.channels.random_unitary(9, gen_seed)
     ld = latdec.LdCodeConfig(generator_c=gen, M=3, N=2, T=3, Q=2,
                              rho=10.0 ** 2.0)
     ok = 0

@@ -87,7 +87,7 @@ def test_ld_identity_generator_reduces_to_vblast():
 
 
 def test_ld_underdetermined_mmse_front_end():
-    gen = latdec.sim.random_unitary(9, 1)
+    gen = channels.random_unitary(9, 1)
     cfg = latdec.LdCodeConfig(generator_c=gen, M=3, N=1, T=3, Q=2, rho=10.0)
     inst = latdec.build_ld_instance(cfg, latdec.frame_rng(5, 0))
     assert inst.H.shape == (6, 18)
@@ -96,7 +96,7 @@ def test_ld_underdetermined_mmse_front_end():
 
 
 def test_ld_noiseless_exhaustive_recovery():
-    gen = latdec.sim.random_unitary(2, 2)
+    gen = channels.random_unitary(2, 2)
     cfg = latdec.LdCodeConfig(generator_c=gen, M=2, N=2, T=1, Q=2, rho=12.0)
     for i in range(20):
         inst = latdec.build_ld_instance(cfg, latdec.frame_rng(6, i), noiseless=True)

@@ -186,8 +186,8 @@ def _level_view_streams():
     yield "isi", lambda f: latdec.build_isi_instance(isi, latdec.frame_rng(3, 0, f))
     vb = latdec.VblastConfig(M=4, N=4, Q=2, rho=20.0)
     yield "vblast", lambda f: latdec.sample_vblast(vb, latdec.frame_rng(3, 1, f))
-    ld = latdec.LdCodeConfig(generator_c=latdec.sim.random_unitary(6, 2), M=2, N=2, T=3,
-                             rho=20.0)
+    ld = latdec.LdCodeConfig(generator_c=latdec.channels.random_unitary(6, 2), M=2, N=2,
+                             T=3, rho=20.0)
     yield "ld", lambda f: latdec.build_ld_instance(ld, latdec.frame_rng(3, 2, f))
 
 
