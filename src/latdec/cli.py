@@ -7,9 +7,10 @@ Subcommands:
   reduce   <basis.json>      LLL utility: {"basis": [[...]]} -> reduced + T
 
 Config schema (JSON object; unknown keys are rejected):
-  channel   {"type": "vblast", "M", "N", "Q", "rho"}
-            {"type": "ld", "M", "N", "T", "Q", "generator_seed" | "generator"}
+  channel   {"type": "vblast", "M", "N", "Q"}
+            {"type": "ld", "M", "N", "T", "Q", "generator" | "generator_seed"}
             {"type": "isi", "taps", "frame_len", "Q", "gen_polys"}
+            (no SNR field: the SNR of each point comes from snr_grid_db)
   preproc   {"left": "zf"|"mmse", "right": "none"|"lll"|"permute"|"lll+permute",
              "boundary": "lattice"|"constrained", "lll_delta", "lll_deep"}
   decoder   {"name": "se"|"babai"|"stack"|"fano"|"pohst"|"vb"|"ir"|"ep"|

@@ -102,9 +102,9 @@ class ExperimentConfig:
 
 
 _CHANNEL_KEYS = {
-    "vblast": {"type", "M", "N", "Q", "rho"},
-    "ld": {"type", "M", "N", "T", "Q", "rho", "generator", "generator_seed"},
-    "isi": {"type", "taps", "frame_len", "Q", "rho", "gen_polys"},
+    "vblast": {"type", "M", "N", "Q"},
+    "ld": {"type", "M", "N", "T", "Q", "generator", "generator_seed"},
+    "isi": {"type", "taps", "frame_len", "Q", "gen_polys"},
 }
 _CHANNEL_MINIMA = {"M": 1, "N": 1, "T": 1, "frame_len": 1, "Q": 2}  # integer fields
 _PREPROC_KEYS = {"left", "right", "boundary", "lll_delta", "lll_deep"}
@@ -132,8 +132,7 @@ def parse_channel(d):
                               f"got {d[key]!r}")
     try:
         if typ == "vblast":
-            return channels.VblastConfig(M=d["M"], N=d["N"], Q=d.get("Q", 2),
-                                         rho=d.get("rho", 10.0))
+            return channels.VblastConfig(M=d["M"], N=d["N"], Q=d.get("Q", 2))
         if typ == "ld":
             s = d["M"] * d["T"]
             if "generator" in d:
@@ -142,9 +141,8 @@ def parse_channel(d):
             else:
                 gen_c = channels.random_unitary(s, d.get("generator_seed", 0))
             return channels.LdCodeConfig(generator_c=gen_c, M=d["M"], N=d["N"],
-                                         T=d["T"], Q=d.get("Q", 2), rho=d.get("rho", 10.0))
-        ch = channels.IsiConfig(taps=tuple(d["taps"]), frame_len=d["frame_len"],
-                                Q=d.get("Q", 2), rho=d.get("rho", 10.0),
+                                         T=d["T"], Q=d.get("Q", 2))
+        ch = channels.IsiConfig(taps=tuple(d["taps"]), frame_len=d["frame_len"], Q=d.get("Q", 2),
                                 gen_polys=tuple(d["gen_polys"]) if d.get("gen_polys") else None)
     except KeyError as err:
         raise ConfigError(f"missing channel field {err.args[0]!r}") from None

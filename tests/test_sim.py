@@ -39,6 +39,9 @@ def test_parse_config_rejects_unknown_keys():
     bad3["channel"] = {"type": "warp"}
     with pytest.raises(ConfigError, match="warp"):
         sim.parse_config(bad3)
+    # the SNR of every point comes from snr_grid_db, so a channel rho did nothing
+    with pytest.raises(ConfigError, match="'rho'"):
+        sim.parse_config(_base_config(channel={"type": "vblast", "M": 2, "N": 2, "rho": 1e6}))
 
 
 ISI_ML_CHANNEL = {"type": "isi", "taps": [0.848, -0.424, 0.2545, -0.1696, 0.0848],
