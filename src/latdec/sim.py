@@ -13,11 +13,14 @@ use the natural binary map of each symbol value (decoded symbols outside
 are Wilson 95% intervals.
 """
 
+import inspect
 import json
 import math
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -101,98 +104,6 @@ class ExperimentConfig:
     shadow_oracle: bool = False
 
 
-_CHANNEL_KEYS = {
-    "vblast": {"type", "M", "N", "Q"},
-    "ld": {"type", "M", "N", "T", "Q", "generator", "generator_seed"},
-    "isi": {"type", "taps", "frame_len", "Q", "gen_polys"},
-}
-_CHANNEL_MINIMA = {"M": 1, "N": 1, "T": 1, "frame_len": 1, "Q": 2}  # integer fields
-_PREPROC_KEYS = {"left", "right", "boundary", "lll_delta", "lll_deep"}
-_TOP_KEYS = {"channel", "preproc", "decoder", "snr_grid_db", "trials",
-             "target_frame_errors", "seed", "noiseless", "fixed_channel",
-             "shadow_oracle"}
-
-
-def _check_keys(d, allowed, where):
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-
-
-def parse_channel(d):
-    if not isinstance(d, dict) or "type" not in d:
-        raise ConfigError("channel config must be an object with a 'type'")
-    typ = d["type"]
-    if typ not in _CHANNEL_KEYS:
-        raise ConfigError(f"unknown channel type {typ!r}")
-    _check_keys(d, _CHANNEL_KEYS[typ], f"{typ} channel config")
-    for key, least in _CHANNEL_MINIMA.items():
-        if key in d and not (_is_int(d[key]) and d[key] >= least):
-            raise ConfigError(f"channel field {key!r} must be an integer >= {least}, "
-                              f"got {d[key]!r}")
-    try:
-        if typ == "vblast":
-            return channels.VblastConfig(M=d["M"], N=d["N"], Q=d.get("Q", 2))
-        if typ == "ld":
-            s = d["M"] * d["T"]
-            if "generator" in d:
-                gen = np.asarray(d["generator"], dtype=float)
-                gen_c = gen[..., 0] + 1j * gen[..., 1]
-            else:
-                gen_c = channels.random_unitary(s, d.get("generator_seed", 0))
-            return channels.LdCodeConfig(generator_c=gen_c, M=d["M"], N=d["N"],
-                                         T=d["T"], Q=d.get("Q", 2))
-        ch = channels.IsiConfig(taps=tuple(d["taps"]), frame_len=d["frame_len"], Q=d.get("Q", 2),
-                                gen_polys=tuple(d["gen_polys"]) if d.get("gen_polys") else None)
-    except KeyError as err:
-        raise ConfigError(f"missing channel field {err.args[0]!r}") from None
-    if ch.gen_polys is not None:
-        try:
-            channels.conv_info_len(ch.gen_polys, ch.frame_len)
-        except DimensionMismatch as err:
-            raise ConfigError(f"channel field 'frame_len': {err}") from None
-    return ch
-
-
-def parse_preproc(d):
-    d = d or {}
-    _check_keys(d, _PREPROC_KEYS, "preproc config")
-    spec = PreprocSpec(**d)
-    if spec.left not in ("zf", "mmse"):
-        raise ConfigError(f"unknown left mode {spec.left!r}")
-    if spec.right not in ("none", "lll", "permute", "lll+permute"):
-        raise ConfigError(f"unknown right mode {spec.right!r}")
-    if spec.boundary not in ("lattice", "constrained"):
-        raise ConfigError(f"unknown boundary {spec.boundary!r}")
-    if not (_is_number(spec.lll_delta) and 0.25 < spec.lll_delta <= 1):
-        raise ConfigError(f"preproc field 'lll_delta' must lie in (0.25, 1], "
-                          f"got {spec.lll_delta!r}")
-    if not isinstance(spec.lll_deep, bool):
-        raise ConfigError(f"preproc field 'lll_deep' must be true or false, "
-                          f"got {spec.lll_deep!r}")
-    return spec
-
-
-def parse_decoder(d):
-    if not isinstance(d, dict) or "name" not in d:
-        raise ConfigError("decoder config must be an object with a 'name'")
-    name = d["name"]
-    if name not in DECODERS:
-        raise ConfigError(f"unknown decoder {name!r}")
-    params = DECODERS[name][1]
-    _check_keys(d, {"name", "budget", *params}, f"decoder {name!r} config")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items() if k != "name"}
-    spec = DecoderSpec(name=name, **kwargs)
-    for key in params:
-        if getattr(spec, key) is None:
-            raise ConfigError(f"decoder {name!r} needs the field {key!r}")
-    for key, (what, ok) in _DECODER_FIELD_RULES.items():
-        value = getattr(spec, key)
-        if value is not None and not ok(value):
-            raise ConfigError(f"decoder field {key!r} must be {what}, got {value!r}")
-    return spec
-
-
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -205,21 +116,124 @@ def _positive(value):
     return _is_number(value) and value > 0  # False for NaN
 
 
-def _positive_list(value):
-    return isinstance(value, tuple) and all(map(_positive, value))
+def _numbers(value, test):
+    return isinstance(value, (list, tuple)) and all(_is_number(v) and test(v) for v in value)
 
 
-# what a decoder field must be when it is set: (description, test)
+def _at_least(least):
+    return f"an integer >= {least}", lambda v: _is_int(v) and v >= least
+
+
+def _one_of(*choices):
+    return " or ".join(map(repr, choices)), lambda v: v in choices
+
+
+_FLAG = ("true or false", lambda v: isinstance(v, bool))
+_UNCHECKED = ("any value", lambda v: True)
+
+
+def _build(section, rules, build, d):
+    """build(**d), lists as tuples, once each key of d has a rule (what the value
+    must be, test) that its value meets and each required parameter is given."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be an object, got {d!r}")
+    for key, value in d.items():
+        if key not in rules:
+            raise ConfigError(f"unknown {section} field {key!r}")
+        what, ok = rules[key]
+        if not ok(value):
+            raise ConfigError(f"{section} field {key!r} must be {what}, got {value!r}")
+    for p in inspect.signature(build).parameters.values():
+        if p.default is p.empty and p.name not in d:
+            raise ConfigError(f"missing {section} field {p.name!r}")
+    return build(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+
+
+def _ld_config(M, N, T, Q=2, generator=None, generator_seed=0):
+    if generator is None:
+        gen_c = channels.random_unitary(M * T, generator_seed)
+    else:
+        gen = np.asarray(generator, dtype=float)
+        gen_c = gen[..., 0] + 1j * gen[..., 1]
+    return channels.LdCodeConfig(generator_c=gen_c, M=M, N=N, T=T, Q=Q)
+
+
+def _isi_config(taps, frame_len, Q=2, gen_polys=None):
+    if gen_polys:
+        try:
+            channels.conv_info_len(gen_polys, frame_len)
+        except DimensionMismatch as err:
+            raise ConfigError(f"isi channel field 'frame_len': {err}") from None
+    return channels.IsiConfig(taps=taps, frame_len=frame_len, Q=Q, gen_polys=gen_polys or None)
+
+
+# type -> (config class, its build function from the checked fields, rules
+# of each key but "type", sampler name in channels, lattice dimension, static)
+ChannelKind = namedtuple("ChannelKind", "config build rules sampler dim static")
+_MIMO_RULES = {"M": _at_least(1), "N": _at_least(1), "Q": _at_least(2)}
+CHANNELS = {
+    "vblast": ChannelKind(channels.VblastConfig, channels.VblastConfig, _MIMO_RULES,
+                          "sample_vblast", lambda ch: 2 * ch.M, False),
+    "ld": ChannelKind(channels.LdCodeConfig, _ld_config,
+                      {**_MIMO_RULES, "T": _at_least(1), "generator": _UNCHECKED,
+                       "generator_seed": _UNCHECKED},
+                      "build_ld_instance", lambda ch: 2 * ch.M * ch.T, False),
+    "isi": ChannelKind(channels.IsiConfig, _isi_config,
+                       {"taps": _UNCHECKED, "frame_len": _at_least(1), "Q": _at_least(2),
+                        "gen_polys": _UNCHECKED},
+                       "build_isi_instance", lambda ch: ch.frame_len, True),
+}
+_KIND_OF_CONFIG = {kind.config: kind for kind in CHANNELS.values()}
+
+
+def parse_channel(d):
+    if not isinstance(d, dict) or d.get("type") not in tuple(CHANNELS):
+        raise ConfigError(f"channel config must be an object whose 'type' is one of "
+                          f"{list(CHANNELS)}, got {d!r}")
+    typ = d["type"]
+    fields_given = {k: v for k, v in d.items() if k != "type"}
+    return _build(f"{typ} channel", CHANNELS[typ].rules, CHANNELS[typ].build, fields_given)
+
+
+_PREPROC_FIELD_RULES = {
+    "left": _one_of("zf", "mmse"),
+    "right": _one_of("none", "lll", "permute", "lll+permute"),
+    "boundary": _one_of("lattice", "constrained"),
+    "lll_delta": ("a number in (0.25, 1]", lambda v: _is_number(v) and 0.25 < v <= 1),
+    "lll_deep": _FLAG,
+}
+
+
+def parse_preproc(d):
+    return _build("preproc", _PREPROC_FIELD_RULES, PreprocSpec, d or {})
+
+
+# what a decoder field must be when it is given
 _DECODER_FIELD_RULES = {
+    "name": _one_of(*DECODERS),
     "bias": ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
     "step": ("a positive finite number", lambda v: _positive(v) and math.isfinite(v)),
     "radius": ("a positive number", _positive),
-    "bounds": ("a list of positive numbers", _positive_list),
-    "weights": ("a list of positive numbers", _positive_list),
-    "M": ("a positive integer", lambda v: _is_int(v) and v >= 1),
+    "bounds": ("a list of positive numbers", lambda v: _numbers(v, _positive)),
+    "weights": ("a list of positive numbers", lambda v: _numbers(v, _positive)),
+    "M": _at_least(1),
     "T": ("a non-negative number", lambda v: _is_number(v) and v >= 0),
-    "budget": ("a positive integer or null", lambda v: _is_int(v) and v >= 1),
+    "budget": ("an integer >= 1 or null", lambda v: v is None or _is_int(v) and v >= 1),
 }
+
+
+def parse_decoder(d):
+    if not isinstance(d, dict) or d.get("name") not in tuple(DECODERS):
+        raise ConfigError(f"decoder config must be an object whose 'name' is one of "
+                          f"{list(DECODERS)}, got {d!r}")
+    name = d["name"]
+    params = DECODERS[name][1]
+    rules = {key: _DECODER_FIELD_RULES[key] for key in ("name", "budget", *params)}
+    spec = _build(f"decoder {name!r}", rules, DecoderSpec, d)
+    for key in params:
+        if getattr(spec, key) is None:
+            raise ConfigError(f"decoder {name!r} needs the field {key!r}")
+    return spec
 
 
 def check_decoder(decoder, preproc, dim):
@@ -238,33 +252,30 @@ def check_decoder(decoder, preproc, dim):
                               f"({dim}), got {len(value)}")
 
 
+_CONFIG_FIELD_RULES = {
+    "channel": ("an object", lambda v: isinstance(v, dict)),
+    "preproc": ("an object or null", lambda v: v is None or isinstance(v, dict)),
+    "decoder": ("an object", lambda v: isinstance(v, dict)),
+    "snr_grid_db": ("a list of finite numbers", lambda v: _numbers(v, math.isfinite)),
+    "trials": _at_least(0),
+    "target_frame_errors": ("an integer >= 1 or null",
+                            lambda v: v is None or _is_int(v) and v >= 1),
+    "seed": _at_least(0),
+    "noiseless": _FLAG,
+    "fixed_channel": _FLAG,
+    "shadow_oracle": _FLAG,
+}
+
+
 def parse_config(d):
     """Validate and build an ExperimentConfig from a JSON-style dict."""
-    if not isinstance(d, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(d, _TOP_KEYS, "config")
-    for req in ("channel", "decoder", "snr_grid_db", "trials"):
-        if req not in d:
-            raise ConfigError(f"missing config field {req!r}")
-    channel = parse_channel(d["channel"])
-    preproc = parse_preproc(d.get("preproc"))
-    decoder = parse_decoder(d["decoder"])
-    check_decoder(decoder, preproc, _problem_dim(channel))
-    if not (_is_int(d["trials"]) and d["trials"] >= 0):
-        raise ConfigError(f"config field 'trials' must be a non-negative integer, "
-                          f"got {d['trials']!r}")
-    return ExperimentConfig(
-        channel=channel,
-        preproc=preproc,
-        decoder=decoder,
-        snr_grid_db=tuple(float(s) for s in d["snr_grid_db"]),
-        trials=d["trials"],
-        target_frame_errors=d.get("target_frame_errors", 100),
-        seed=int(d.get("seed", 0)),
-        noiseless=bool(d.get("noiseless", False)),
-        fixed_channel=bool(d.get("fixed_channel", False)),
-        shadow_oracle=bool(d.get("shadow_oracle", False)),
-    )
+    cfg = _build("config", _CONFIG_FIELD_RULES, partial(ExperimentConfig, preproc=None), d)
+    cfg.channel = parse_channel(cfg.channel)
+    cfg.preproc = parse_preproc(cfg.preproc)
+    cfg.decoder = parse_decoder(cfg.decoder)
+    cfg.snr_grid_db = tuple(float(s) for s in cfg.snr_grid_db)
+    check_decoder(cfg.decoder, cfg.preproc, _KIND_OF_CONFIG[type(cfg.channel)].dim(cfg.channel))
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +354,6 @@ def decode_frame(instance, problem, dec: DecoderSpec, trace=False):
                        nc=out.node_generations, unique=out.unique_nodes,
                        restarts=out.restarts, budget_hit=out.budget_hit,
                        distance=out.distance, trace=out.trace)
-
-
-def _sample_instance(ch_cfg, rng, noiseless, fixture):
-    if isinstance(ch_cfg, channels.VblastConfig):
-        return channels.sample_vblast(ch_cfg, rng, noiseless=noiseless, channel=fixture)
-    if isinstance(ch_cfg, channels.LdCodeConfig):
-        return channels.build_ld_instance(ch_cfg, rng, noiseless=noiseless, channel=fixture)
-    return channels.build_isi_instance(ch_cfg, rng, noiseless=noiseless)
 
 
 def _channel_distance(instance, info):
@@ -443,18 +446,21 @@ def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limi
     instance JSON) of the first `dump_limit` failing decodes in frame order.
     """
     base = cfgs[0]
+    kind = _KIND_OF_CONFIG[type(base.channel)]
+    sample = getattr(channels, kind.sampler)
     ch_cfg = replace(base.channel, rho=10.0 ** (snr_db / 10.0))
-    fixture = None
-    if base.fixed_channel and not isinstance(ch_cfg, channels.IsiConfig):
-        fixture = channels.draw_mimo_channel(ch_cfg, channels.frame_rng(base.seed, point_idx))
+    sample_kwargs = {"noiseless": base.noiseless}
+    if base.fixed_channel and not kind.static:
+        sample_kwargs["channel"] = channels.draw_mimo_channel(
+            ch_cfg, channels.frame_rng(base.seed, point_idx))
     plans = {}  # TreePlans keyed by PreprocSpec, shared between configs; "ml": MlPlan
-    static_channel = base.fixed_channel or isinstance(ch_cfg, channels.IsiConfig)
+    static_channel = base.fixed_channel or kind.static
     stats = [PointStats(snr_db=snr_db) for _ in cfgs]
     frames = [[] for _ in cfgs]
     failures = []
     for frame in range(start, start + count):
         rng = channels.frame_rng(base.seed, point_idx, frame)
-        inst = _sample_instance(ch_cfg, rng, base.noiseless, fixture)
+        inst = sample(ch_cfg, rng, **sample_kwargs)
         info_len = inst.info_len or inst.code.dim
         ml_res = None
         if not static_channel:
@@ -533,7 +539,8 @@ def _sweep_point(cfgs, pool, workers, point_idx, snr_db, collect_frames, reports
     trial budget or the stopping rule ends it; returns one PointStats per
     config and appends to the reports' frames and to failures."""
     base = cfgs[0]
-    stats = [PointStats(snr_db=snr_db, dim=_problem_dim(c.channel)) for c in cfgs]
+    dim = _KIND_OF_CONFIG[type(base.channel)].dim(base.channel)
+    stats = [PointStats(snr_db=snr_db, dim=dim) for _ in cfgs]
     target = base.target_frame_errors
     start = 0
     while start < base.trials:
@@ -573,14 +580,6 @@ def _same_channel(a, b):
         elif va != vb:
             return False
     return True
-
-
-def _problem_dim(ch_cfg):
-    if isinstance(ch_cfg, channels.VblastConfig):
-        return 2 * ch_cfg.M
-    if isinstance(ch_cfg, channels.LdCodeConfig):
-        return 2 * ch_cfg.M * ch_cfg.T
-    return ch_cfg.frame_len
 
 
 def _write_failures(path, records, cfgs):

@@ -98,6 +98,19 @@ def _with_nan(a):
      "'T'"),
     (lambda: _base_config(decoder={"name": "se", "budget": 0}), ConfigError, "'budget'"),
     (lambda: _base_config(trials=-3), ConfigError, "'trials'"),
+    (lambda: _base_config(channel={"type": []}), ConfigError, "'type'"),
+    (lambda: _base_config(decoder={"name": ["se"]}), ConfigError, "'name'"),
+    (lambda: sim.parse_preproc([1]), ConfigError, "^preproc must be an object"),
+    (lambda: _base_config(noiseless="no"), ConfigError, "'noiseless'"),
+    (lambda: _base_config(fixed_channel="no"), ConfigError, "'fixed_channel'"),
+    (lambda: _base_config(shadow_oracle="no"), ConfigError, "'shadow_oracle'"),
+    (lambda: _base_config(seed=1.5), ConfigError, "'seed'"),
+    (lambda: _base_config(seed="x"), ConfigError, "'seed'"),
+    (lambda: _base_config(seed=-1), ConfigError, "'seed'"),
+    (lambda: _base_config(snr_grid_db=[float("nan")]), ConfigError, "'snr_grid_db'"),
+    (lambda: _base_config(snr_grid_db=10.0), ConfigError, "'snr_grid_db'"),
+    (lambda: _base_config(target_frame_errors="x"), ConfigError, "'target_frame_errors'"),
+    (lambda: _base_config(target_frame_errors=-1), ConfigError, "'target_frame_errors'"),
     (lambda: _tiny_plan()[1].problem_for(_with_nan(_tiny_plan()[0].received)),
      ValueError, "^received"),
     (lambda: latdec.prepare_tree(_with_nan(_tiny_plan()[0].H), _tiny_plan()[0].code),
@@ -108,7 +121,10 @@ def _with_nan(a):
         "vb-radius-negative", "pohst-radius-nan", "ir-bounds-length", "ep-weights-length",
         "isi-frame-len-code", "isi-frame-len-0", "isi-Q-1", "ld-T-0", "vblast-Q-1",
         "lll-delta-2", "ir-bounds-text", "m-alg-M-0", "t-alg-T-negative", "budget-0",
-        "trials-negative", "received-nan", "H-nan"])
+        "trials-negative", "channel-type-list", "decoder-name-list", "preproc-list",
+        "noiseless-text", "fixed-channel-text", "shadow-oracle-text",
+        "seed-fraction", "seed-text", "seed-negative", "snr-nan", "snr-scalar",
+        "target-text", "target-negative", "received-nan", "H-nan"])
 def test_bad_input_fails_early_naming_the_field(build, error, match):
     with pytest.raises(error, match=match):
         built = build()
@@ -180,10 +196,10 @@ def test_ml_plan_kept_while_the_channel_is_static(monkeypatch, channel, per_poin
     assert sum(p.shadow_disagreements for p in reports[0].points) == 0
     monkeypatch.setattr(latdec.oracle, "MlPlan", plan_class)
     ch = sim.parse_channel(channel)
+    sample = getattr(latdec.channels, sim.CHANNELS[channel["type"]].sampler)
     for point, frame, _err, _nc, _uniq, dist, info in reports[0].frames:
         rho = 10.0 ** (cfgs[0].snr_grid_db[point] / 10.0)
-        inst = sim._sample_instance(replace(ch, rho=rho),
-                                    latdec.frame_rng(5, point, frame), False, None)
+        inst = sample(replace(ch, rho=rho), latdec.frame_rng(5, point, frame))
         res = latdec.exhaustive_ml(inst)  # the library path: a plan per call
         assert tuple(int(v) for v in res.label) == info and res.distance == dist
 
@@ -277,6 +293,7 @@ def test_compare_requires_shared_channel():
     cfg_b = sim.parse_config(_base_config(channel={"type": "vblast", "M": 3, "N": 3, "Q": 2}))
     with pytest.raises(ConfigError):
         sim.compare_decoders([cfg_a, cfg_b])
+
 
 
 def test_gamma_ratio():
