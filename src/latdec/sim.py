@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import channels, oracle, search
-from .errors import AlignmentError, ConfigError, DimensionMismatch
+from .errors import AlignmentError, ConfigError, DimensionMismatch, RankDeficientCode
 from .preprocess import apply_back_map, prepare_tree
 
 CHUNK = 512  # stopping-rule granularity (fixed: determinism across workers)
@@ -120,6 +120,10 @@ def _numbers(value, test):
     return isinstance(value, (list, tuple)) and all(_is_number(v) and test(v) for v in value)
 
 
+def _octal(value):
+    return _is_int(value) and set(str(value)) <= set("01234567")  # False when negative
+
+
 def _at_least(least):
     return f"an integer >= {least}", lambda v: _is_int(v) and v >= least
 
@@ -129,7 +133,6 @@ def _one_of(*choices):
 
 
 _FLAG = ("true or false", lambda v: isinstance(v, bool))
-_UNCHECKED = ("any value", lambda v: True)
 
 
 def _build(section, rules, build, d):
@@ -149,22 +152,33 @@ def _build(section, rules, build, d):
     return build(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
-def _ld_config(M, N, T, Q=2, generator=None, generator_seed=0):
+def _ld_config(M, N, T, Q=2, generator=None, generator_seed=None):
     if generator is None:
-        gen_c = channels.random_unitary(M * T, generator_seed)
+        gen_c = channels.random_unitary(M * T, generator_seed or 0)
+    elif generator_seed is not None:
+        raise ConfigError("ld channel fields 'generator' and 'generator_seed' exclude each other")
     else:
-        gen = np.asarray(generator, dtype=float)
+        try:
+            gen = np.asarray(generator, dtype=float)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            gen = np.empty(0)
+        if gen.shape != (M * T, M * T, 2) or not np.isfinite(gen).all():
+            raise ConfigError(f"ld channel field 'generator' must be M*T x M*T [re, im] pairs "
+                              f"of finite numbers, shape {(M * T, M * T, 2)}, got {generator!r}")
         gen_c = gen[..., 0] + 1j * gen[..., 1]
     return channels.LdCodeConfig(generator_c=gen_c, M=M, N=N, T=T, Q=Q)
 
 
 def _isi_config(taps, frame_len, Q=2, gen_polys=None):
-    if gen_polys:
+    if gen_polys is not None:
         try:
-            channels.conv_info_len(gen_polys, frame_len)
+            channels.conv_code_systematic(gen_polys, channels.conv_info_len(gen_polys, frame_len))
         except DimensionMismatch as err:
             raise ConfigError(f"isi channel field 'frame_len': {err}") from None
-    return channels.IsiConfig(taps=taps, frame_len=frame_len, Q=Q, gen_polys=gen_polys or None)
+        except RankDeficientCode as err:
+            raise ConfigError(f"isi channel field 'gen_polys' must give a full-rank code: "
+                              f"{err}") from None
+    return channels.IsiConfig(taps=taps, frame_len=frame_len, Q=Q, gen_polys=gen_polys)
 
 
 # type -> (config class, its build function from the checked fields, rules
@@ -175,12 +189,16 @@ CHANNELS = {
     "vblast": ChannelKind(channels.VblastConfig, channels.VblastConfig, _MIMO_RULES,
                           "sample_vblast", lambda ch: 2 * ch.M, False),
     "ld": ChannelKind(channels.LdCodeConfig, _ld_config,
-                      {**_MIMO_RULES, "T": _at_least(1), "generator": _UNCHECKED,
-                       "generator_seed": _UNCHECKED},
+                      {**_MIMO_RULES, "T": _at_least(1),
+                       "generator": ("a list", lambda v: isinstance(v, (list, tuple))),
+                       "generator_seed": _at_least(0)},
                       "build_ld_instance", lambda ch: 2 * ch.M * ch.T, False),
     "isi": ChannelKind(channels.IsiConfig, _isi_config,
-                       {"taps": _UNCHECKED, "frame_len": _at_least(1), "Q": _at_least(2),
-                        "gen_polys": _UNCHECKED},
+                       {"taps": ("a list of finite numbers, not all zero",
+                                 lambda v: _numbers(v, math.isfinite) and any(v)),
+                        "frame_len": _at_least(1), "Q": _at_least(2),
+                        "gen_polys": ("a non-empty list of octal numbers or null",
+                                      lambda v: v is None or _numbers(v, _octal) and len(v) > 0)},
                        "build_isi_instance", lambda ch: ch.frame_len, True),
 }
 _KIND_OF_CONFIG = {kind.config: kind for kind in CHANNELS.values()}

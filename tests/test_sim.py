@@ -47,6 +47,7 @@ def test_parse_config_rejects_unknown_keys():
 ISI_ML_CHANNEL = {"type": "isi", "taps": [0.848, -0.424, 0.2545, -0.1696, 0.0848],
                   "frame_len": 12, "gen_polys": [5, 7]}
 BOX = {"left": "zf", "right": "none", "boundary": "constrained"}
+LD_1X1 = {"type": "ld", "M": 1, "N": 1, "T": 1}
 
 
 def _tiny_plan():
@@ -111,6 +112,23 @@ def _with_nan(a):
     (lambda: _base_config(snr_grid_db=10.0), ConfigError, "'snr_grid_db'"),
     (lambda: _base_config(target_frame_errors="x"), ConfigError, "'target_frame_errors'"),
     (lambda: _base_config(target_frame_errors=-1), ConfigError, "'target_frame_errors'"),
+    (lambda: _base_config(channel=dict(ISI_ML_CHANNEL, taps=[1, float("inf")])), ConfigError,
+     "'taps'"),
+    (lambda: _base_config(channel=dict(ISI_ML_CHANNEL, taps=[0, 0])), ConfigError, "'taps'"),
+    (lambda: _base_config(channel=dict(ISI_ML_CHANNEL, taps=[])), ConfigError, "'taps'"),
+    (lambda: _base_config(channel=dict(ISI_ML_CHANNEL, gen_polys=[0])), ConfigError,
+     "'gen_polys'"),
+    (lambda: _base_config(channel=dict(ISI_ML_CHANNEL, gen_polys=[5, 8])), ConfigError,
+     "'gen_polys'"),
+    (lambda: _base_config(channel=dict(LD_1X1, generator=5)), ConfigError, "'generator'"),
+    (lambda: _base_config(channel=dict(LD_1X1, generator=[[1, 2]])), ConfigError,
+     "'generator'"),
+    (lambda: _base_config(channel=dict(LD_1X1, generator_seed=-1)), ConfigError,
+     "'generator_seed'"),
+    (lambda: _base_config(channel=dict(LD_1X1, generator_seed=1.5)), ConfigError,
+     "'generator_seed'"),
+    (lambda: _base_config(channel=dict(LD_1X1, generator=[[[1, 0]]], generator_seed=3)),
+     ConfigError, "'generator_seed'"),
     (lambda: _tiny_plan()[1].problem_for(_with_nan(_tiny_plan()[0].received)),
      ValueError, "^received"),
     (lambda: latdec.prepare_tree(_with_nan(_tiny_plan()[0].H), _tiny_plan()[0].code),
@@ -124,7 +142,10 @@ def _with_nan(a):
         "trials-negative", "channel-type-list", "decoder-name-list", "preproc-list",
         "noiseless-text", "fixed-channel-text", "shadow-oracle-text",
         "seed-fraction", "seed-text", "seed-negative", "snr-nan", "snr-scalar",
-        "target-text", "target-negative", "received-nan", "H-nan"])
+        "target-text", "target-negative", "isi-taps-inf", "isi-taps-zero", "isi-taps-empty",
+        "isi-gen-polys-0", "isi-gen-polys-digit-8", "ld-generator-scalar",
+        "ld-generator-shape", "ld-generator-seed-negative", "ld-generator-seed-fraction",
+        "ld-generator-and-seed", "received-nan", "H-nan"])
 def test_bad_input_fails_early_naming_the_field(build, error, match):
     with pytest.raises(error, match=match):
         built = build()
