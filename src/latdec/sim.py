@@ -521,19 +521,22 @@ def _ml_plan(plans, inst):
     return plans["ml"]
 
 
+_SHARED_FIELDS = ("channel", "seed", "snr_grid_db", "trials", "target_frame_errors",
+                  "noiseless", "fixed_channel")
+
+
 def compare_decoders(cfgs, workers=1, collect_frames=False, dump_failures=None):
     """Run several configs on identical frame streams (same channel, same seed).
 
-    All configs must share the channel section, seed, SNR grid, and trial
-    budget; they may differ in preprocessing and decoder.  Returns one
+    All configs must share the fields in _SHARED_FIELDS, the stopping rule
+    included; they may differ in preprocessing and decoder.  Returns one
     SweepReport per config with aligned per-frame records.
     """
     base = cfgs[0]
     for cfg in cfgs[1:]:
-        if not _same_channel(cfg.channel, base.channel) or cfg.seed != base.seed \
-                or cfg.snr_grid_db != base.snr_grid_db or cfg.trials != base.trials \
-                or cfg.noiseless != base.noiseless or cfg.fixed_channel != base.fixed_channel:
-            raise ConfigError("compared configs must share channel, seed, grid, and trials")
+        if not _same_channel(cfg.channel, base.channel) \
+                or any(getattr(cfg, k) != getattr(base, k) for k in _SHARED_FIELDS[1:]):
+            raise ConfigError(f"compared configs must share {', '.join(_SHARED_FIELDS)}")
     reports = [SweepReport(decoder=c.decoder.label(), points=[],
                            frames=[] if collect_frames else None) for c in cfgs]
     failures = []  # the first DUMP_LIMIT failing decodes, in frame order
@@ -588,16 +591,9 @@ def _sweep_point(cfgs, pool, workers, point_idx, snr_db, collect_frames, reports
 
 
 def _same_channel(a, b):
-    if type(a) is not type(b):
-        return False
-    for key, va in vars(a).items():
-        vb = getattr(b, key)
-        if isinstance(va, np.ndarray):
-            if not np.array_equal(va, vb):
-                return False
-        elif va != vb:
-            return False
-    return True
+    """Field-by-field equality of channel configs; an LD dispersion map is an array."""
+    return type(a) is type(b) and all(np.array_equal(va, getattr(b, key))
+                                      for key, va in vars(a).items())
 
 
 def _write_failures(path, records, cfgs):

@@ -316,6 +316,15 @@ def test_compare_requires_shared_channel():
         sim.compare_decoders([cfg_a, cfg_b])
 
 
+def test_compare_requires_a_shared_stopping_rule():
+    # the first config's target used to stop every config's points
+    cfg_a = sim.parse_config(_base_config(target_frame_errors=1))
+    cfg_b = sim.parse_config(_base_config(target_frame_errors=None))
+    shared = ("channel, seed, snr_grid_db, trials, target_frame_errors, noiseless, "
+              "fixed_channel")
+    with pytest.raises(ConfigError, match=shared):
+        sim.compare_decoders([cfg_a, cfg_b])
+
 
 def test_gamma_ratio():
     cfg = sim.parse_config(_base_config(trials=50, snr_grid_db=[9.0]))
