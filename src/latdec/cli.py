@@ -8,7 +8,7 @@ Subcommands:
 
 Config schema (JSON object; unknown keys are rejected):
   channel   {"type": "vblast", "M", "N", "Q"}
-            {"type": "ld", "M", "N", "T", "Q", "generator" | "generator_seed"}
+            {"type": "ld", "M", "N", "Q", "T", "generator" | "generator_seed"}
             {"type": "isi", "taps", "frame_len", "Q", "gen_polys"}
             (no SNR field: the SNR of each point comes from snr_grid_db)
   preproc   {"left": "zf"|"mmse", "right": "none"|"lll"|"permute"|"lll+permute",
@@ -18,7 +18,8 @@ Config schema (JSON object; unknown keys are rejected):
   snr_grid_db [..], trials, target_frame_errors, seed, noiseless,
   fixed_channel, shadow_oracle
 
-The decoder names and their parameters come from one table, sim.DECODERS.
+The decoder names and their parameters come from one table, sim.DECODERS;
+the channel types and their fields from another, sim.CHANNELS.
 """
 
 import argparse

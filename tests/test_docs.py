@@ -1,8 +1,9 @@
-"""The decoder table and its documentation cannot drift apart.
+"""The decoder and channel tables and their documentation cannot drift apart.
 
 README's config schema and the ``latdec`` help text list the decoder names,
 and README lists each decoder's parameters; both must equal
-``sim.DECODERS``.
+``sim.DECODERS``.  Both also list each channel type's fields, which must
+equal ``sim.CHANNELS``.
 """
 
 import os
@@ -43,3 +44,23 @@ def test_readme_lists_each_decoders_parameters():
             documented.setdefault(name, []).append(key)
     assert documented == {name: list(params) for name, (_, params) in sim.DECODERS.items()
                           if params}
+
+
+def _channel_fields():
+    return [(typ, list(kind.rules)) for typ, kind in sim.CHANNELS.items()]
+
+
+def test_readme_lists_each_channels_fields():
+    # "fields by type: vblast (M, N, Q), ld (...), isi (...);" over several
+    # // comment lines
+    text = re.sub(r"\s*//\s*", " ", _readme())
+    line = re.search(r"fields by type:([^;]*);", text).group(1)
+    documented = [(typ, keys.split(", ")) for typ, keys in re.findall(r"(\w+) \(([^)]*)\)", line)]
+    assert documented == _channel_fields()
+
+
+def test_cli_help_lists_each_channels_fields():
+    # one '{"type": "vblast", "M", "N", "Q"}' line per type
+    documented = [(typ, re.findall(r'"(\w+)"', keys))
+                  for typ, keys in re.findall(r'\{"type": "(\w+)", ([^}]*)\}', cli.__doc__)]
+    assert documented == _channel_fields()
