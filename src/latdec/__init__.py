@@ -15,7 +15,7 @@ from .linalg import (back_substitute, complex_to_real_matrix,
                      complex_to_real_vector, qr_decompose)
 from .oracle import (MaxCost, MlPlan, OracleBox, PohstBudget, babai_box,
                      box_clps, enumerate_node_set, exhaustive_ml)
-from .preprocess import (BackMap, LeftPreprocResult, TreePlan, TreeProblem,
+from .preprocess import (LeftPreprocResult, TreePlan, TreeProblem,
                          apply_back_map, form_tree, left_preprocess,
                          node_metric, prepare_tree, right_preprocess,
                          vblast_greedy_order)

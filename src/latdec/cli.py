@@ -83,10 +83,10 @@ def cmd_decode(args):
     dec = sim.parse_decoder(rec["decoder"])
     sim.check_decoder(dec, pre, inst.H.shape[1])
     problem = None if dec.name == "ml" else pre.plan(inst.H, inst.code).problem_for(inst.received)
-    res = sim.decode_frame(inst, problem, dec, trace=args.trace)
-    if res.trace is not None:
-        for line in trace_lines(res.trace):
-            print(line)
+    trace = []
+    res = sim.decode_frame(inst, problem, dec, on_node=trace.append if args.trace else None)
+    for line in trace_lines(trace):
+        print(line)
     result = {
         "decoded_info": [int(v) for v in res.info],
         "x_true": [int(v) for v in inst.x_true],

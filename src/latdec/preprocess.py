@@ -130,22 +130,16 @@ def right_preprocess(A, mode="none", lll_delta=0.99, lll_deep=False):
     return Q, R, record
 
 
-@dataclass
-class BackMap:
-    """Inverse bookkeeping from search labels to information symbols."""
-
-    record: UnimodularRecord
-
-
 def apply_back_map(label, back_map):
     """Map a search label back to the information vector (an int array).
 
     The label is in level order (level 1 first); the integer inverse of the
-    basis change is applied exactly.  Lattice decoding does not enforce the
-    code's information set, so the result may lie outside it; such a vector
-    differs from every transmitted one and counts as a frame error.
+    basis change, the UnimodularRecord back_map, is applied exactly.  Lattice
+    decoding does not enforce the code's information set, so the result may
+    lie outside it; such a vector differs from every transmitted one and
+    counts as a frame error.
     """
-    info = back_map.record.inverse_times(list(label)[::-1])  # physical coordinate order
+    info = back_map.inverse_times(list(label)[::-1])  # physical coordinate order
     return np.asarray(info, dtype=int)
 
 
@@ -172,7 +166,7 @@ class TreeProblem:
 
     R: np.ndarray
     y: np.ndarray
-    back_map: BackMap
+    back_map: UnimodularRecord
     boundary_q: int | None
     lev_rows: tuple | None = field(default=None, repr=False)
 
@@ -208,7 +202,7 @@ class TreePlan:
     """
 
     R: np.ndarray
-    back_map: BackMap
+    back_map: UnimodularRecord
     boundary_q: int | None
     forward: np.ndarray
     offset: np.ndarray
@@ -249,7 +243,7 @@ def prepare_tree(H, code: LatticeCode, left_mode="mmse", right_mode="none",
     B = lp.R1 @ code.generator
     Q2, R, record = right_preprocess(B, right_mode, lll_delta=lll_delta, lll_deep=lll_deep)
     boundary_q = code.info_set.q if boundary == "constrained" else None
-    return TreePlan(R=R, back_map=BackMap(record), boundary_q=boundary_q,
+    return TreePlan(R=R, back_map=record, boundary_q=boundary_q,
                     forward=Q2.T @ lp.Q1.T, offset=Q2.T @ (lp.R1 @ code.translate))
 
 

@@ -30,6 +30,10 @@ moves in multiples of the step size.  Every search returns through one
 epilogue (_finish): the Babai fallback on a budget hit, EmptySearchSpace
 when no leaf was found, and the SearchOutcome.
 
+A search calls its optional hook on_node with (level, label, path_metric,
+cost, bound) for each child generated (each forward move of Fano); e.g.
+trace = []; gbb_run(problem, policy, on_node=trace.append); trace_lines(trace).
+
 Complexity is counted in node generations: the root counts as one, and the
 counter increments once per child placed in ACTIVE.  For the Fano decoder
 node_generations counts every look-forward evaluation (revisits included)
@@ -266,7 +270,6 @@ class SearchOutcome:
     restarts: int = 0
     budget_hit: bool = False
     gen_per_level: list | None = None
-    trace: list | None = None
     max_threshold: float | None = None  # Fano only: largest T reached
 
 
@@ -310,7 +313,6 @@ def _finish(problem, name, label, distance, n_c, budget_hit, unique=None, **extr
         err.node_generations = n_c
         err.unique_nodes = n_c if unique is None else unique
         err.gen_per_level = extra.get("gen_per_level")
-        err.trace = extra.get("trace")
         raise err
     return SearchOutcome(decoded_label=label, distance=distance, node_generations=n_c,
                          unique_nodes=n_c if unique is None else unique,
@@ -432,7 +434,7 @@ class _CostHeap:
 # the generic engine
 
 
-def gbb_run(problem: TreeProblem, policy: SearchPolicy, collect_trace=False):
+def gbb_run(problem: TreeProblem, policy: SearchPolicy, on_node=None):
     """Run the branch-and-bound loop under the given policy.
 
     The loop inspects the top of ACTIVE; a leaf updates the incumbent and
@@ -457,7 +459,6 @@ def gbb_run(problem: TreeProblem, policy: SearchPolicy, collect_trace=False):
     budget_cap = policy.node_budget
     n_c = 1
     gen_per_level = [1] + [0] * m
-    trace = [] if collect_trace else None
     best_label = None
     best_g = INF
     budget_hit = False
@@ -493,44 +494,39 @@ def gbb_run(problem: TreeProblem, policy: SearchPolicy, collect_trace=False):
         active.push(child)  # re-sort; the level heap applies rule g2
         n_c += 1
         gen_per_level[lvl + 1] += 1
-        if collect_trace:
-            trace.append((lvl + 1, child.label, child.g, child.f, t[lvl + 1]))
+        if on_node is not None:
+            on_node((lvl + 1, child.label, child.g, child.f, t[lvl + 1]))
         if budget_cap is not None and n_c >= budget_cap:
             budget_hit = True
             break
 
     return _finish(problem, policy.name, best_label, best_g, n_c, budget_hit,
-                   gen_per_level=gen_per_level, trace=trace)
+                   gen_per_level=gen_per_level)
 
 
-def restart_schedule(problem, policy, factor=2.0, max_restarts=64, collect_trace=False):
+def restart_schedule(problem, policy, factor=2.0, max_restarts=64, on_node=None):
     """Run gbb_run, relaxing finite bounds by `factor` whenever the search
-    space turns out to be empty.  Restarts, node counts, unique nodes,
-    per-level counts and the trace accumulate over the attempts: the trace
-    holds every child generated by every attempt, so n_c is its length
-    plus one root per attempt, and the per-level counts sum to n_c."""
+    space turns out to be empty.  Restarts, node counts, unique nodes and
+    per-level counts accumulate over the attempts, so the per-level counts
+    sum to n_c.  Every attempt calls the one hook on_node, so it sees every
+    child of every attempt: n_c is their number plus one root per attempt."""
     total = unique = 0
     per_level = [0] * (problem.m + 1)
-    trace = [] if collect_trace else None
     restarts = 0
     pol = policy
     while True:
         try:
-            out = gbb_run(problem, pol, collect_trace=collect_trace)
+            out = gbb_run(problem, pol, on_node=on_node)
             out.node_generations += total
             out.unique_nodes += unique
             if restarts:
                 out.gen_per_level = [a + b for a, b in zip(per_level, out.gen_per_level)]
-            if collect_trace:
-                out.trace = trace + out.trace
             out.restarts = restarts
             return out
         except EmptySearchSpace as err:
             total += err.node_generations
             unique += err.unique_nodes
             per_level = [a + b for a, b in zip(per_level, err.gen_per_level)]
-            if collect_trace:
-                trace += err.trace
             restarts += 1
             if restarts > max_restarts:
                 raise
@@ -547,8 +543,7 @@ def restart_schedule(problem, policy, factor=2.0, max_restarts=64, collect_trace
 # the Fano decoder
 
 
-def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None,
-                collect_trace=False):
+def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_node=None):
     """Iterative best-first search with a running threshold.
 
     Keeps only the current path in memory.  The threshold T moves in
@@ -571,7 +566,6 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None,
     t_mult_max = 0
     evals = 0
     visited = set()
-    trace = [] if collect_trace else None
     budget_hit = False
     k = 0
 
@@ -594,8 +588,8 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None,
             fs.append(f_cand)
             k += 1
             visited.add(tuple(path))
-            if collect_trace:
-                trace.append((k, tuple(path), g_cand, f_cand, T))
+            if on_node is not None:
+                on_node((k, tuple(path), g_cand, f_cand, T))
             if k == m:
                 break
             if fs[k - 1] > T - step:  # first visit: pull T down as far as allowed
@@ -615,5 +609,4 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None,
             kids[k].rank += 1
 
     return _finish(problem, "fano", None if budget_hit else tuple(path), gs[-1], evals,
-                   budget_hit, unique=1 + len(visited), trace=trace,
-                   max_threshold=t_mult_max * step)
+                   budget_hit, unique=1 + len(visited), max_threshold=t_mult_max * step)

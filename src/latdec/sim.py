@@ -344,18 +344,17 @@ class FrameResult:
     restarts: int
     budget_hit: bool
     distance: float
-    trace: list | None = None  # node trace of the search, when asked for
 
 
-def decode_frame(instance, problem, dec: DecoderSpec, trace=False):
+def decode_frame(instance, problem, dec: DecoderSpec, on_node=None):
     """Decode one preprocessed frame with the configured decoder.
 
     problem is the frame's TreeProblem for a tree search; for exhaustive
     ML it is an oracle.MlPlan of the frame's channel, or None to build one.
     Every branch-and-bound decoder runs through search.restart_schedule,
     which relaxes a finite bound while the search space is empty and makes
-    one attempt otherwise.  With trace=True the tree search also records
-    its node trace (see search.trace_lines); exhaustive ML has none.
+    one attempt otherwise.  on_node goes to the tree search, which calls it
+    per generated node (see search.trace_lines); exhaustive ML has none.
     """
     if dec.name == "ml":
         res = oracle.exhaustive_ml(instance, problem)
@@ -363,15 +362,15 @@ def decode_frame(instance, problem, dec: DecoderSpec, trace=False):
                            unique=0, restarts=0, budget_hit=False, distance=res.distance)
     if dec.name == "fano":
         out = search.fano_decode(problem, bias=dec.bias, step=dec.step,
-                                 node_budget=dec.budget, collect_trace=trace)
+                                 node_budget=dec.budget, on_node=on_node)
     else:
         factory, params = DECODERS[dec.name]
         policy = replace(factory(*(getattr(dec, k) for k in params)), node_budget=dec.budget)
-        out = search.restart_schedule(problem, policy, collect_trace=trace)
+        out = search.restart_schedule(problem, policy, on_node=on_node)
     return FrameResult(info=apply_back_map(out.decoded_label, problem.back_map),
                        nc=out.node_generations, unique=out.unique_nodes,
                        restarts=out.restarts, budget_hit=out.budget_hit,
-                       distance=out.distance, trace=out.trace)
+                       distance=out.distance)
 
 
 def _channel_distance(instance, info):

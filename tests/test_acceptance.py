@@ -93,8 +93,9 @@ def test_criterion_3_stack_subset_of_ir():
         inst = latdec.sample_vblast(cfg, latdec.frame_rng(103, i))
         prob = form_tree(inst.received, inst.H, inst.code, "mmse", "lll", "lattice")
         for b in (0.5, 1.0, 2.0):
-            st = latdec.gbb_run(prob, latdec.policy_stack(b), collect_trace=True)
-            generated = {t[1] for t in st.trace}
+            trace = []
+            st = latdec.gbb_run(prob, latdec.policy_stack(b), on_node=trace.append)
+            generated = {t[1] for t in trace}
             delta = max(prob.path_metric(st.decoded_label[: j + 1]) - b * (j + 1)
                         for j in range(prob.m)) + 1e-9
             try:

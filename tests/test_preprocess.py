@@ -247,7 +247,7 @@ def test_back_map_identity_and_roundtrip():
     assert np.array_equal(apply_back_map(label, prob.back_map), x)  # T = I
 
     prob2 = form_tree(inst.received, inst.H, inst.code, "mmse", "lll+permute", "lattice")
-    T = prob2.back_map.record.T
+    T = prob2.back_map.T
     for _ in range(1000):
         x = rng.integers(-4, 5, size=prob2.m)
         z = np.asarray(T @ x.astype(object))  # forward map into search coordinates

@@ -210,8 +210,9 @@ def test_stack_trace_within_ir_node_set():
     for seed in range(20):
         _, prob = _random_problem(seed + 300, M=2, rho_db=8.0, right="lll")
         for b in (0.5, 1.0, 2.0):
-            st = gbb_run(prob, policy_stack(b), collect_trace=True)
-            generated = {t[1] for t in st.trace}
+            trace = []
+            st = gbb_run(prob, policy_stack(b), on_node=trace.append)
+            generated = {t[1] for t in trace}
             delta = max(prob.path_metric(st.decoded_label[: j + 1]) - b * (j + 1)
                         for j in range(prob.m)) + 1e-9
             ir_set = oracle.enumerate_node_set(prob, oracle.MaxCost(b, delta))
@@ -222,8 +223,9 @@ def test_ir_policy_trace_equals_oracle_set():
     _, prob = _random_problem(6, M=2, rho_db=8.0, right="lll")
     b, delta = 1.0, 6.0
     bounds = [b * k + delta for k in range(1, prob.m + 1)]
-    out = gbb_run(prob, policy_ir(bounds))
-    generated = {t[1] for t in gbb_run(prob, policy_ir(bounds), collect_trace=True).trace}
+    trace = []
+    out = gbb_run(prob, policy_ir(bounds), on_node=trace.append)
+    generated = {t[1] for t in trace}
     assert generated == oracle.enumerate_node_set(prob, oracle.MaxCost(b, delta))
     assert out.decoded_label is not None
 
@@ -233,8 +235,9 @@ def test_pohst_trace_equals_oracle_set():
     from latdec.search import _babai_descent
     _, d_bab = _babai_descent(prob)
     C0 = d_bab * 1.5
-    out = gbb_run(prob, policy_pohst(C0), collect_trace=True)
-    generated = {t[1] for t in out.trace}
+    trace = []
+    gbb_run(prob, policy_pohst(C0), on_node=trace.append)
+    generated = {t[1] for t in trace}
     assert generated == oracle.enumerate_node_set(prob, oracle.PohstBudget(C0))
 
 
@@ -243,9 +246,10 @@ def test_ep_matches_pohst_with_constant_weights():
     from latdec.search import _babai_descent
     _, d_bab = _babai_descent(prob)
     C0 = d_bab * 1.3
-    po = gbb_run(prob, policy_pohst(C0), collect_trace=True)
-    ep = gbb_run(prob, policy_ep([C0] * prob.m), collect_trace=True)
-    assert {t[1] for t in po.trace} == {t[1] for t in ep.trace}
+    po_trace, ep_trace = [], []
+    po = gbb_run(prob, policy_pohst(C0), on_node=po_trace.append)
+    ep = gbb_run(prob, policy_ep([C0] * prob.m), on_node=ep_trace.append)
+    assert {t[1] for t in po_trace} == {t[1] for t in ep_trace}
     assert po.distance == pytest.approx(ep.distance)
 
 
@@ -309,8 +313,9 @@ def test_fano_properties_on_noisy_frames():
     for seed in range(20):
         inst, prob = _random_problem(seed + 500, M=3, rho_db=6.0, right="lll+permute")
         b, step = 1.0, 0.75
-        out = fano_decode(prob, bias=b, step=step, collect_trace=True)
-        for level, label, g, f, bound in out.trace:
+        trace = []
+        out = fano_decode(prob, bias=b, step=step, on_node=trace.append)
+        for level, label, g, f, bound in trace:
             assert f <= bound + 1e-12
         truth = transmitted_label(prob, inst.x_true)
         f_max = max(prob.path_metric(truth[: j + 1]) - b * (j + 1)

@@ -47,11 +47,11 @@ BOUNDARIES = {"constrained": ("mmse", "permute"), "lattice": ("mmse", "lll+permu
 
 
 def _restarted(policy):
-    return lambda p: search.restart_schedule(p, policy(p.m), collect_trace=True)
+    return lambda p, on_node: search.restart_schedule(p, policy(p.m), on_node=on_node)
 
 
 def _plain(policy):
-    return lambda p: search.gbb_run(p, policy(p.m), collect_trace=True)
+    return lambda p, on_node: search.gbb_run(p, policy(p.m), on_node=on_node)
 
 
 DECODERS = {
@@ -59,7 +59,7 @@ DECODERS = {
     "babai": _plain(lambda m: search.policy_babai()),
     "stack0": _plain(lambda m: search.policy_stack(0.0)),
     "stack1": _plain(lambda m: search.policy_stack(1.0)),
-    "fano": lambda p: search.fano_decode(p, bias=1.0, step=1.0, collect_trace=True),
+    "fano": lambda p, on_node: search.fano_decode(p, bias=1.0, step=1.0, on_node=on_node),
     "pohst": _restarted(lambda m: search.policy_pohst(0.5 * m)),
     "vb": _restarted(lambda m: search.policy_vb(0.5 * m)),
     "ir": _restarted(lambda m: search.policy_ir([1.0 * k + 2.0 for k in range(1, m + 1)])),
@@ -73,8 +73,8 @@ EXTRA = {
     "se-budget": _plain(lambda m: replace(search.policy_se(), node_budget=6)),
     "se-late-budget": _plain(lambda m: replace(search.policy_se(), node_budget=30)),
     "stack-budget": _plain(lambda m: replace(search.policy_stack(0.5), node_budget=12)),
-    "fano-budget": lambda p: search.fano_decode(p, bias=0.5, step=0.5, node_budget=20,
-                                                collect_trace=True),
+    "fano-budget": lambda p, on_node: search.fano_decode(p, bias=0.5, step=0.5, node_budget=20,
+                                                         on_node=on_node),
     "pohst-budget": _restarted(lambda m: replace(search.policy_pohst(1e9), node_budget=40)),
     "t-alg-budget": _plain(lambda m: replace(search.policy_t_algorithm(3.0), node_budget=9)),
     "pohst-restart": _restarted(lambda m: search.policy_pohst(1e-3)),
@@ -105,8 +105,9 @@ def _cases():
 
 def _frame_record(run, problem):
     """(n_c, everything the digest covers) of one search; errors are outcomes too."""
+    trace = []
     try:
-        out = run(problem)
+        out = run(problem, trace.append)
     except EmptySearchSpace as err:
         return err.node_generations, ("EmptySearchSpace", err.node_generations)
     except ValueError as err:
@@ -114,7 +115,7 @@ def _frame_record(run, problem):
     return out.node_generations, (
         out.decoded_label, repr(out.distance), out.node_generations, out.unique_nodes,
         out.gen_per_level, out.restarts, out.budget_hit, repr(out.max_threshold),
-        search.trace_lines(out.trace))
+        search.trace_lines(trace))
 
 
 def run_case(channel, boundary, run):

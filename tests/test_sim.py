@@ -421,8 +421,9 @@ def test_cli_decode_trace_explains_every_restart(tmp_path, capsys):
     assert (rec["node_generations"], rec["restarts"]) == (20, 10)
     assert len(out[:out.index("{")].splitlines()) == 20 - 11
     problem = latdec.form_tree(inst.received, inst.H, inst.code, "zf", "permute", "lattice")
-    res = sim.decode_frame(inst, problem, sim.parse_decoder(decoder), trace=True)
-    assert res.unique == res.nc == 20 and len(res.trace) == 9
+    trace = []
+    res = sim.decode_frame(inst, problem, sim.parse_decoder(decoder), on_node=trace.append)
+    assert res.unique == res.nc == 20 and len(trace) == 9
 
 
 def test_cli_decode_rejects_what_parse_config_rejects(tmp_path):
