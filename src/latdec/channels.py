@@ -195,6 +195,8 @@ def _poly_bits(p):
     constraint length (e.g. octal 4672 has memory 10, 1024 states).
     """
     val = int(str(p), 8)
+    if val < 0:  # its right shifts would never reach 0
+        raise ValueError(f"generator polynomial {p!r} is negative")
     bits = []
     while val:
         bits.append(val & 1)

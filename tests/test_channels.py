@@ -183,6 +183,15 @@ def test_conv_rank_deficient_rejected():
         channels.conv_code_systematic((0,), 3)  # zero polynomial
 
 
+def test_negative_generator_polynomial_rejected():
+    # a library caller skips parse_config's checks: this must raise, not hang
+    with pytest.raises(ValueError, match="polynomial -5 is negative"):
+        channels.conv_info_len((-5,), 12)
+    cfg = latdec.IsiConfig(taps=(1.0,), frame_len=12, gen_polys=(-5,))
+    with pytest.raises(ValueError, match="polynomial -5 is negative"):
+        channels.build_isi_instance(cfg, latdec.frame_rng(0, 0))
+
+
 def test_isi_coded_lattice_points_are_codewords():
     # all lattice labels reduce mod 2 to codewords of the terminated code
     cfg = latdec.IsiConfig(taps=(1.0,), frame_len=8, rho=1.0, gen_polys=(5, 7))
