@@ -68,25 +68,26 @@ class DecoderSpec:
     def label(self):
         shown = {"bias": "b", "step": "step"}  # the parameters a report label names
         return " ".join([self.name] + [f"{shown[k]}={getattr(self, k):g}"
-                                       for k in DECODERS[self.name][1] if k in shown])
+                                       for k in DECODERS[self.name].fields if k in shown])
 
 
 # name -> (tree-search policy factory, or None for the decoders with their own
-# call, and the decoder's parameter fields in order).  The factory takes the
-# fields as positional arguments; a field whose DecoderSpec default is None
-# is required.
+# call, the decoder's parameter fields in order, and whether it needs the
+# constrained boundary).  The factory takes the fields as positional
+# arguments; a field whose DecoderSpec default is None is required.
+DecoderKind = namedtuple("DecoderKind", "policy fields needs_box")
 DECODERS = {
-    "se": (search.policy_se, ()),
-    "babai": (search.policy_babai, ()),
-    "stack": (search.policy_stack, ("bias",)),
-    "fano": (None, ("bias", "step")),
-    "pohst": (search.policy_pohst, ("radius",)),
-    "vb": (search.policy_vb, ("radius",)),
-    "ir": (search.policy_ir, ("bounds",)),
-    "ep": (search.policy_ep, ("weights",)),
-    "m-alg": (search.policy_m_algorithm, ("M",)),
-    "t-alg": (search.policy_t_algorithm, ("T",)),
-    "ml": (None, ()),
+    "se": DecoderKind(search.policy_se, (), False),
+    "babai": DecoderKind(search.policy_babai, (), False),
+    "stack": DecoderKind(search.policy_stack, ("bias",), False),
+    "fano": DecoderKind(None, ("bias", "step"), False),
+    "pohst": DecoderKind(search.policy_pohst, ("radius",), False),
+    "vb": DecoderKind(search.policy_vb, ("radius",), False),
+    "ir": DecoderKind(search.policy_ir, ("bounds",), False),
+    "ep": DecoderKind(search.policy_ep, ("weights",), False),
+    "m-alg": DecoderKind(search.policy_m_algorithm, ("M",), True),
+    "t-alg": DecoderKind(search.policy_t_algorithm, ("T",), True),
+    "ml": DecoderKind(None, (), False),
 }
 
 
@@ -245,7 +246,7 @@ def parse_decoder(d):
         raise ConfigError(f"decoder config must be an object whose 'name' is one of "
                           f"{list(DECODERS)}, got {d!r}")
     name = d["name"]
-    params = DECODERS[name][1]
+    params = DECODERS[name].fields
     rules = {key: _DECODER_FIELD_RULES[key] for key in ("name", "budget", *params)}
     spec = _build(f"decoder {name!r}", rules, DecoderSpec, d)
     for key in params:
@@ -260,7 +261,7 @@ def check_decoder(decoder, preproc, dim):
 
     parse_config runs this, and so does the replay of a dumped frame.
     """
-    if decoder.name in ("m-alg", "t-alg") and preproc.boundary != "constrained":
+    if DECODERS[decoder.name].needs_box and preproc.boundary != "constrained":
         raise ConfigError(f"decoder {decoder.name!r} needs the preproc field 'boundary' "
                           f"to be 'constrained'")
     for key in ("bounds", "weights"):
@@ -364,8 +365,9 @@ def decode_frame(instance, problem, dec: DecoderSpec, on_node=None):
         out = search.fano_decode(problem, bias=dec.bias, step=dec.step,
                                  node_budget=dec.budget, on_node=on_node)
     else:
-        factory, params = DECODERS[dec.name]
-        policy = replace(factory(*(getattr(dec, k) for k in params)), node_budget=dec.budget)
+        kind = DECODERS[dec.name]
+        policy = replace(kind.policy(*(getattr(dec, k) for k in kind.fields)),
+                         node_budget=dec.budget)
         out = search.restart_schedule(problem, policy, on_node=on_node)
     return FrameResult(info=apply_back_map(out.decoded_label, problem.back_map),
                        nc=out.node_generations, unique=out.unique_nodes,
@@ -605,7 +607,7 @@ def _write_failures(path, records, cfgs):
             "instance": json.loads(inst_json),
             "preproc": vars(cfg.preproc),
             "decoder": {"name": dec.name, "budget": dec.budget,
-                        **{k: getattr(dec, k) for k in DECODERS[dec.name][1]}},
+                        **{k: getattr(dec, k) for k in DECODERS[dec.name].fields}},
             "point": point_idx,
             "frame": frame,
         }

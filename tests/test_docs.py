@@ -42,8 +42,8 @@ def test_readme_lists_each_decoders_parameters():
     for key, names in re.findall(r"(\w+) \(([\w/-]+)\)", line):
         for name in names.split("/"):
             documented.setdefault(name, []).append(key)
-    assert documented == {name: list(params) for name, (_, params) in sim.DECODERS.items()
-                          if params}
+    assert documented == {name: list(kind.fields) for name, kind in sim.DECODERS.items()
+                          if kind.fields}
 
 
 def _channel_fields():
