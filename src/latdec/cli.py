@@ -30,6 +30,7 @@ import numpy as np
 
 from . import sim
 from .channels import ChannelInstance
+from .errors import ConfigError
 from .lattice import lll_reduce
 from .search import trace_lines
 
@@ -76,8 +77,20 @@ def cmd_compare(args):
     return 0
 
 
+def _fields(section, d, keys):
+    """d, once it is an object holding each of keys; else ConfigError."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be an object, got {d!r}")
+    for key in keys:
+        if key not in d:
+            raise ConfigError(f"missing {section} field {key!r}")
+    return d
+
+
 def cmd_decode(args):
-    rec = _load_json(args.instance)
+    rec = _fields("decode record", _load_json(args.instance), ("instance", "decoder"))
+    _fields("instance", rec["instance"],
+            ("H", "generator", "translate", "info_set", "x_true", "received"))
     inst = ChannelInstance.from_json(json.dumps(rec["instance"]))
     pre = sim.parse_preproc(rec.get("preproc"))
     dec = sim.parse_decoder(rec["decoder"])

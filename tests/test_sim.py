@@ -120,6 +120,9 @@ def _with_nan(a):
      "'gen_polys'"),
     (lambda: _base_config(channel=dict(ISI_ML_CHANNEL, gen_polys=[5, 8])), ConfigError,
      "'gen_polys'"),
+    (lambda: _base_config(channel=dict(ISI_ML_CHANNEL, gen_polys=[-5])), ConfigError,
+     r"^isi channel field 'gen_polys' must be a non-empty list of octal numbers or null, "
+     r"got \[-5\]$"),
     (lambda: _base_config(channel=dict(LD_1X1, generator=5)), ConfigError, "'generator'"),
     (lambda: _base_config(channel=dict(LD_1X1, generator=[[1, 2]])), ConfigError,
      "'generator'"),
@@ -143,7 +146,8 @@ def _with_nan(a):
         "noiseless-text", "fixed-channel-text", "shadow-oracle-text",
         "seed-fraction", "seed-text", "seed-negative", "snr-nan", "snr-scalar",
         "target-text", "target-negative", "isi-taps-inf", "isi-taps-zero", "isi-taps-empty",
-        "isi-gen-polys-0", "isi-gen-polys-digit-8", "ld-generator-scalar",
+        "isi-gen-polys-0", "isi-gen-polys-digit-8", "isi-gen-polys-negative",
+        "ld-generator-scalar",
         "ld-generator-shape", "ld-generator-seed-negative", "ld-generator-seed-fraction",
         "ld-generator-and-seed", "received-nan", "H-nan"])
 def test_bad_input_fails_early_naming_the_field(build, error, match):
@@ -427,17 +431,29 @@ def test_cli_decode_trace_explains_every_restart(tmp_path, capsys):
 
 
 def test_cli_decode_rejects_what_parse_config_rejects(tmp_path):
-    # a dumped frame edited by hand must meet the same decoder checks
-    inst = latdec.sample_vblast(latdec.VblastConfig(M=2, N=2, Q=2, rho=10.0),
-                                latdec.frame_rng(4, 0))
+    # a dumped frame edited by hand must meet the same decoder checks, and a
+    # record or an instance without one of its keys fails naming that key
+    inst = json.loads(latdec.sample_vblast(latdec.VblastConfig(M=2, N=2, Q=2, rho=10.0),
+                                           latdec.frame_rng(4, 0)).to_json())
+    full = {"instance": inst,
+            "preproc": {"left": "mmse", "right": "lll+permute", "boundary": "lattice"},
+            "decoder": {"name": "se"}}
+    cases = [
+        (dict(full, decoder={"name": "m-alg", "M": 4}), "'boundary'"),
+        ({"preproc": None}, "^missing decode record field 'instance'$"),
+        ({"instance": inst, "preproc": None}, "^missing decode record field 'decoder'$"),
+        ({"instance": {}, "decoder": {"name": "se"}}, "^missing instance field 'H'$"),
+        ([full], "^decode record must be an object"),
+        (dict(full, instance=[inst]), "^instance must be an object"),
+    ]
+    for key in ("H", "generator", "translate", "info_set", "x_true", "received"):
+        cases.append((dict(full, instance={k: v for k, v in inst.items() if k != key}),
+                      f"^missing instance field {key!r}$"))
     path = tmp_path / "frame.json"
-    path.write_text(json.dumps({
-        "instance": json.loads(inst.to_json()),
-        "preproc": {"left": "mmse", "right": "lll+permute", "boundary": "lattice"},
-        "decoder": {"name": "m-alg", "M": 4},
-    }))
-    with pytest.raises(ConfigError, match="'boundary'"):
-        cli.main(["decode", str(path)])
+    for rec, match in cases:
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ConfigError, match=match):
+            cli.main(["decode", str(path)])
 
 
 def test_cli_compare(tmp_path):
