@@ -24,11 +24,11 @@ SearchPolicy bundle of:
 Children come from one lazy generator per node (_Children) that yields the
 next-level coordinates in the policy's order, each with its level metric.
 The same generator serves gbb_run, the Fano decoder, se_child_order and
-child_interval.  The memory-free Fano decoder (fano_decode) keeps only the
-current path, one generator per level, and revisits nodes as its threshold
-moves in multiples of the step size.  Every search returns through one
-epilogue (_finish): the Babai fallback on a budget hit, EmptySearchSpace
-when no leaf was found, and the SearchOutcome.
+child_interval.  The Fano decoder (fano_decode) walks one path, revisiting
+nodes as its threshold moves in multiples of the step size, and keeps one
+table entry per distinct node, whose generator a revisit reuses.  Every
+search returns through one epilogue (_finish): the Babai fallback on a
+budget hit, EmptySearchSpace when no leaf was found, and the SearchOutcome.
 
 A search calls its optional hook on_node with (level, label, path_metric,
 cost, bound) for each child generated (each forward move of Fano); e.g.
@@ -62,13 +62,6 @@ def _nearest_int(c):
     return math.floor(c + 0.5)
 
 
-def _se_coord(a, delta, rank):
-    if rank == 0:
-        return a
-    t = (rank + 1) // 2
-    return a + t * delta if rank % 2 == 1 else a - t * delta
-
-
 def _boxed_se_order(c, q):
     """All of {0..q-1} ordered by the zigzag rule around c."""
     a = _nearest_int(c)
@@ -77,13 +70,13 @@ def _boxed_se_order(c, q):
     if a >= q:
         return list(range(q - 1, -1, -1))
     delta = 1 if (c - a) >= 0 else -1
-    out = []
-    rank = 0
+    out = [a]
+    t = 1
     while len(out) < q:
-        x = _se_coord(a, delta, rank)
-        rank += 1
-        if 0 <= x < q:
-            out.append(x)
+        for x in (a + t * delta, a - t * delta):
+            if 0 <= x < q:
+                out.append(x)
+        t += 1
     return out
 
 
@@ -138,8 +131,9 @@ class _Children:
         """Next child (coord, w) with w within rem, not consumed; None when exhausted."""
         order, rank = self.order, self.rank
         while True:
-            if order is None:
-                x = _se_coord(self.a, self.delta, rank)
+            if order is None:  # zigzag: a, a + delta, a - delta, a + 2 delta, ...
+                t = (rank + 1) // 2
+                x = self.a + t * self.delta if rank % 2 else self.a - t * self.delta
             elif rank < len(order):
                 x = order[rank]
             else:
@@ -546,10 +540,11 @@ def restart_schedule(problem, policy, factor=2.0, max_restarts=64, on_node=None)
 def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_node=None):
     """Iterative best-first search with a running threshold.
 
-    Keeps only the current path in memory.  The threshold T moves in
-    multiples of `step`: it is tightened when a node is visited for the
-    first time and relaxed when neither a forward nor a backward move is
-    possible.  Terminates at the first leaf whose cost is within T.
+    Walks one path and keeps one table entry per distinct node: a revisit
+    reuses the node's child generator.  The threshold T moves in multiples
+    of `step`: it is tightened when a node is visited for the first time and
+    relaxed when neither a forward nor a backward move is possible.
+    Terminates at the first leaf whose cost is within T.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -562,10 +557,11 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
     gs = [0.0]
     fs = [0.0]
     kids = [_Children(problem, path)]
+    # (parent's generator, coord) -> the child's generator; None for the leaf
+    nodes = {}
     t_mult = 0  # threshold T = t_mult * step: always an exact multiple
     t_mult_max = 0
     evals = 0
-    visited = set()
     budget_hit = False
     k = 0
 
@@ -587,15 +583,19 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
             gs.append(g_cand)
             fs.append(f_cand)
             k += 1
-            visited.add(tuple(path))
             if on_node is not None:
                 on_node((k, tuple(path), g_cand, f_cand, T))
             if k == m:
+                nodes[kids[-1], coord] = None
                 break
             if fs[k - 1] > T - step:  # first visit: pull T down as far as allowed
                 while fs[k] <= (t_mult - 1) * step:
                     t_mult -= 1
-            kids.append(_Children(problem, path))
+            child = nodes.get((kids[-1], coord))
+            if child is None:
+                child = nodes[kids[-1], coord] = _Children(problem, path)
+            child.rank = 0
+            kids.append(child)
         elif k == 0 or fs[k - 1] > T:
             t_mult += 1  # cannot move back: relax and look forward again
             t_mult_max = max(t_mult_max, t_mult)
@@ -609,4 +609,4 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
             kids[k].rank += 1
 
     return _finish(problem, "fano", None if budget_hit else tuple(path), gs[-1], evals,
-                   budget_hit, unique=1 + len(visited), max_threshold=t_mult_max * step)
+                   budget_hit, unique=1 + len(nodes), max_threshold=t_mult_max * step)

@@ -5,6 +5,8 @@ Gram-Schmidt coefficients with exact Python-int records, recomputing the
 whole Gram-Schmidt data after each deep insertion, the greedy ordering
 with one pseudo-inverse per detected column, and exhaustive ML that forms
 every candidate's channel output again on each call, from integer labels.
+The Fano decoder is the form that builds a fresh child generator on every
+forward move, revisits included, and keeps a set of the labels visited.
 They are slow and kept only as oracles.
 """
 
@@ -15,6 +17,7 @@ import numpy as np
 from latdec.errors import RankDeficient
 from latdec.lattice import UnimodularRecord
 from latdec.preprocess import ORDER_TIE_RTOL
+from latdec.search import _finish
 
 
 def _int_eye(n):
@@ -179,3 +182,104 @@ def exhaustive_ml_loop(instance):
             if tuple(cand) < tuple(best_label):
                 best_label = cand
     return best_label, best_d, tie
+
+
+def _zigzag(problem, label):
+    """The children of node `label` in the Schnorr-Euchner zigzag order, as a
+    function of the rank: (coord, w), or None past the last one of a box."""
+    k = len(label)
+    row = problem.lev_rows[k]
+    resid = problem.lev_y[k]
+    for j in range(k):
+        resid -= row[j] * label[j]
+    diag = row[k]
+    c = resid / diag
+    a = math.floor(c + 0.5)
+    delta = 1 if (c - a) >= 0 else -1
+
+    def coord(rank):
+        t = (rank + 1) // 2
+        return a + t * delta if rank % 2 == 1 else a - t * delta
+
+    q = problem.boundary_q
+    if q is not None:
+        box = []
+        rank = 0
+        while len(box) < q:
+            if 0 <= coord(rank) < q:
+                box.append(coord(rank))
+            rank += 1
+
+    def child(rank):
+        if q is not None and rank >= q:
+            return None
+        x = coord(rank) if q is None else box[rank]
+        d = resid - diag * x
+        return x, d * d
+
+    return child
+
+
+def fano_decode_visited(problem, bias=1.0, step=1.0, node_budget=None, on_node=None):
+    """Fano decoding with a new child generator per forward move and a set
+    of the labels visited.
+
+    Same contract as latdec.search.fano_decode: unique_nodes is one plus
+    the number of distinct labels entered.
+    """
+    m = problem.m
+    path = []
+    gs = [0.0]
+    fs = [0.0]
+    kids = [_zigzag(problem, path)]
+    ranks = [0]  # ranks[k]: the rank of the level-k node's candidate child
+    t_mult = 0  # threshold T = t_mult * step
+    t_mult_max = 0
+    evals = 0
+    visited = set()
+    budget_hit = False
+    k = 0
+
+    while True:
+        if node_budget is not None and evals >= node_budget:
+            budget_hit = True
+            break
+        T = t_mult * step
+        got = kids[k](ranks[k])
+        evals += 1
+        if got is None:
+            f_cand = math.inf
+        else:
+            coord, w = got
+            g_cand = gs[k] + w
+            f_cand = g_cand - bias * (k + 1)
+        if f_cand <= T:
+            path.append(coord)
+            gs.append(g_cand)
+            fs.append(f_cand)
+            k += 1
+            visited.add(tuple(path))
+            if on_node is not None:
+                on_node((k, tuple(path), g_cand, f_cand, T))
+            if k == m:
+                break
+            if fs[k - 1] > T - step:  # first visit: pull T down as far as allowed
+                while fs[k] <= (t_mult - 1) * step:
+                    t_mult -= 1
+            kids.append(_zigzag(problem, path))
+            ranks.append(0)
+        elif k == 0 or fs[k - 1] > T:
+            t_mult += 1  # cannot move back: relax and look forward again
+            t_mult_max = max(t_mult_max, t_mult)
+            ranks[k] = 0
+        else:
+            path.pop()  # move back, try the next-best sibling
+            gs.pop()
+            fs.pop()
+            kids.pop()
+            ranks.pop()
+            k -= 1
+            ranks[k] += 1
+
+    return _finish(problem, "fano", None if budget_hit else tuple(path), gs[-1], evals,
+                   budget_hit, unique=1 + len(visited), max_threshold=t_mult_max * step)

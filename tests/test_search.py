@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import fano_decode_visited
 from util import make_problem, transmitted_label
 
 import latdec
@@ -325,9 +326,59 @@ def test_fano_properties_on_noisy_frames():
 
 
 def test_fano_counts_revisits():
+    # n_c counts every look-forward evaluation, the trace every forward move
+    # and unique_nodes the root plus every distinct label entered; checked
+    # on a frame with revisits, run to its leaf and cut by a budget
     _, prob = _random_problem(13, M=3, rho_db=4.0, right="lll")
-    out = fano_decode(prob, bias=1.0, step=0.25)
-    assert out.node_generations >= out.unique_nodes - 1
+    for budget in (None, 12):
+        trace = []
+        out = fano_decode(prob, bias=1.0, step=0.25, node_budget=budget, on_node=trace.append)
+        labels = [label for _, label, *_ in trace]
+        assert len(labels) > len(set(labels))  # the frame has revisits
+        assert out.budget_hit == (budget is not None)
+        assert out.unique_nodes == 1 + len(set(labels))
+        assert len(trace) <= out.node_generations
+
+
+ISI_TAPS = [0.848, -0.424, 0.2545, -0.1696, 0.0848]
+
+
+def _isi_problems(n):
+    cfg = latdec.IsiConfig(taps=ISI_TAPS, frame_len=24, rho=10.0 ** 0.5, gen_polys=(5, 7))
+    plan = None
+    for frame in range(n):
+        inst = latdec.build_isi_instance(cfg, latdec.frame_rng(3, frame))
+        plan = plan or latdec.prepare_tree(inst.H, inst.code, "mmse", "lll+permute", "lattice")
+        yield plan.problem_for(inst.received)
+
+
+def _vblast_problems(n, M, Q, rho_db, right, boundary):
+    cfg = latdec.VblastConfig(M=M, N=M, Q=Q, rho=10.0 ** (rho_db / 10.0))
+    for frame in range(n):
+        inst = latdec.sample_vblast(cfg, latdec.frame_rng(3, frame))
+        yield form_tree(inst.received, inst.H, inst.code, "mmse", right, boundary)
+
+
+@pytest.mark.parametrize("family", [
+    lambda: _isi_problems(100),
+    lambda: _vblast_problems(100, 8, 2, 10.0, "lll", "lattice"),
+    lambda: _vblast_problems(100, 4, 4, 14.0, "permute", "constrained"),
+], ids=["isi", "v8-lattice", "v4q4-constrained"])
+def test_fano_matches_the_visited_set_reference(family):
+    # the node table changes no outcome field and no trace tuple; with the
+    # budget of 50 some frames end on the Babai fallback
+    problems = list(family())
+    hits = 0
+    for bias, step, budget in [(1.0, 1.0, None), (0.5, 0.25, None), (2.0, 3.0, None),
+                               (1.0, 1.0, 50)]:
+        for prob in problems:
+            got, want = [], []
+            out = fano_decode(prob, bias, step, budget, on_node=got.append)
+            ref = fano_decode_visited(prob, bias, step, budget, on_node=want.append)
+            assert vars(out) == vars(ref)
+            assert got == want
+            hits += out.budget_hit
+    assert hits > 0
 
 
 def test_monotone_bias_endpoints():
