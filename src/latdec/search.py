@@ -546,6 +546,9 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
     relaxed when neither a forward nor a backward move is possible.
     Terminates at the first leaf whose cost is within T.
     """
+    for name, value in (("bias", bias), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if step <= 0:
         raise ValueError("step must be positive")
     m = problem.m

@@ -340,6 +340,16 @@ def test_fano_counts_revisits():
         assert len(trace) <= out.node_generations
 
 
+@pytest.mark.parametrize("param, value", [
+    ("step", math.nan), ("step", math.inf), ("bias", math.nan), ("bias", math.inf),
+    ("bias", -math.inf)])
+def test_fano_rejects_non_finite_parameters(param, value):
+    # each of these used to loop forever with no node budget
+    _, prob = _random_problem(13, M=3, rho_db=4.0)
+    with pytest.raises(ValueError, match=f"^{param} must be finite"):
+        fano_decode(prob, **{param: value})
+
+
 ISI_TAPS = [0.848, -0.424, 0.2545, -0.1696, 0.0848]
 
 
