@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidTaps, RankDeficientCode
+from .errors import ConfigError, DimensionMismatch, InvalidTaps, RankDeficientCode
 from .lattice import InfoSet, LatticeCode, construction_a
 from .linalg import complex_to_real_matrix
 
@@ -114,19 +114,43 @@ class ChannelInstance:
 
     @classmethod
     def from_json(cls, text):
+        """Read a to_json record; a malformed field raises ConfigError naming it."""
         rec = json.loads(text)
         iset = rec["info_set"]
-        labels = np.asarray(iset["labels"], dtype=int) if iset.get("labels") is not None \
-            and iset["kind"] == "explicit" else None
-        code = LatticeCode(
-            generator=np.asarray(rec["generator"], dtype=float),
-            translate=np.asarray(rec["translate"], dtype=float),
-            info_set=InfoSet(iset["kind"], q=iset.get("q"), labels=labels),
-        )
-        return cls(H=np.asarray(rec["H"], dtype=float), code=code,
-                   x_true=np.asarray(rec["x_true"], dtype=int),
-                   received=np.asarray(rec["received"], dtype=float),
+        if not isinstance(iset, dict) or "kind" not in iset:
+            raise ConfigError("instance field 'info_set' must be an object with a 'kind'")
+        try:
+            labels = np.asarray(iset["labels"], dtype=int) \
+                if iset.get("labels") is not None and iset["kind"] == "explicit" else None
+            info_set = InfoSet(iset["kind"], q=iset.get("q"), labels=labels)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"instance field 'info_set': {err}") from None
+        code = LatticeCode(generator=_record_array(rec, "generator", 2),
+                           translate=_record_array(rec, "translate", 1), info_set=info_set)
+        H = _record_array(rec, "H", 2)
+        x_true = _record_array(rec, "x_true", 1)
+        received = _record_array(rec, "received", 1)
+        if len(x_true) != code.dim:
+            raise ConfigError(f"instance field 'x_true' has {len(x_true)} entries, "
+                              f"not the code dimension {code.dim}")
+        if (x_true % 1 != 0).any():
+            raise ConfigError("instance field 'x_true' must hold integers")
+        if len(received) != len(H):
+            raise ConfigError(f"instance field 'received' has {len(received)} entries, "
+                              f"not the {len(H)} rows of H")
+        return cls(H=H, code=code, x_true=x_true.astype(int), received=received,
                    info_len=rec.get("info_len"))
+
+
+def _record_array(rec, key, ndim):
+    """rec[key] as an ndim-dimensional float array; else ConfigError naming key."""
+    try:
+        arr = np.asarray(rec[key], dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise ConfigError(f"instance field {key!r} must be a {ndim}-dimensional numeric array")
+    return arr
 
 
 def draw_mimo_channel(cfg, rng):

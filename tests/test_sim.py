@@ -432,7 +432,8 @@ def test_cli_decode_trace_explains_every_restart(tmp_path, capsys):
 
 def test_cli_decode_rejects_what_parse_config_rejects(tmp_path):
     # a dumped frame edited by hand must meet the same decoder checks, and a
-    # record or an instance without one of its keys fails naming that key
+    # record or an instance without one of its keys, or with a malformed
+    # value, fails naming that key
     inst = json.loads(latdec.sample_vblast(latdec.VblastConfig(M=2, N=2, Q=2, rho=10.0),
                                            latdec.frame_rng(4, 0)).to_json())
     full = {"instance": inst,
@@ -445,6 +446,18 @@ def test_cli_decode_rejects_what_parse_config_rejects(tmp_path):
         ({"instance": {}, "decoder": {"name": "se"}}, "^missing instance field 'H'$"),
         ([full], "^decode record must be an object"),
         (dict(full, instance=[inst]), "^instance must be an object"),
+        (dict(full, instance=dict(inst, info_set={"q": 2})),
+         "^instance field 'info_set' must be an object with a 'kind'$"),
+        (dict(full, instance=dict(inst, info_set={"kind": "box"})),
+         "^instance field 'info_set': unknown info set kind 'box'$"),
+        (dict(full, instance=dict(inst, H="x")),
+         "^instance field 'H' must be a 2-dimensional numeric array$"),
+        (dict(full, instance=dict(inst, x_true=[0, 1])),
+         "^instance field 'x_true' has 2 entries, not the code dimension 4$"),
+        (dict(full, instance=dict(inst, x_true=[0.5, 1, 1, 0])),
+         "^instance field 'x_true' must hold integers$"),
+        (dict(full, instance=dict(inst, received=inst["received"][:2])),
+         "^instance field 'received' has 2 entries, not the 4 rows of H$"),
     ]
     for key in ("H", "generator", "translate", "info_set", "x_true", "received"):
         cases.append((dict(full, instance={k: v for k, v in inst.items() if k != key}),
