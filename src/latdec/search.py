@@ -26,8 +26,11 @@ next-level coordinates in the policy's order, each with its level metric.
 The same generator serves gbb_run, the Fano decoder, se_child_order and
 child_interval.  The Fano decoder (fano_decode) walks one path, revisiting
 nodes as its threshold moves in multiples of the step size, and keeps one
-table entry per distinct node, whose generator a revisit reuses.  Every
-search returns through one epilogue (_finish): the Babai fallback on a
+table entry per distinct node, whose generator a revisit reuses.
+restart_schedule reruns the loop with every bound doubled while an attempt
+finds no leaf, with no cap: it stops at a leaf, a budget hit, or when
+doubling leaves the bounds unchanged.  Every search returns through one
+epilogue (_finish): the Babai descent (gbb_run under policy_babai) on a
 budget hit, EmptySearchSpace when no leaf was found, and the SearchOutcome.
 
 A search calls its optional hook on_node with (level, label, path_metric,
@@ -43,7 +46,7 @@ while unique_nodes counts distinct labels.
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import EmptySearchSpace
 from .preprocess import TreeProblem
@@ -282,31 +285,23 @@ def _bounds_vector(policy, m):
     if isinstance(b, (tuple, list)):
         if len(b) != m:
             raise ValueError(f"bound vector length {len(b)} != problem dimension {m}")
-        return [INF] + [float(v) for v in b]
-    return [INF] + [float(b)] * m
-
-
-def _babai_descent(problem):
-    """Straight rounding descent; used as the fallback decision on budget hits."""
-    label = ()
-    g = 0.0
-    for _ in range(problem.m):
-        x, w = _Children(problem, label).peek(INF, True)
-        label += (x,)
-        g += w
-    return label, g
+        t = [INF] + [float(v) for v in b]
+    else:
+        t = [INF] + [float(b)] * m
+    if any(math.isnan(v) for v in t):
+        raise ValueError(f"policy {policy.name}: NaN bound {b!r}")
+    return t
 
 
 def _finish(problem, name, label, distance, n_c, budget_hit, unique=None, **extra):
     """The epilogue of every search: Babai fallback when the node budget ran
     out before a leaf, EmptySearchSpace when no leaf was found at all."""
     if label is None and budget_hit:
-        label, distance = _babai_descent(problem)
+        fallback = gbb_run(problem, policy_babai())
+        label, distance = fallback.decoded_label, fallback.distance
     if label is None:
         err = EmptySearchSpace(f"policy {name}: no leaf within the bounds")
         err.node_generations = n_c
-        err.unique_nodes = n_c if unique is None else unique
-        err.gen_per_level = extra.get("gen_per_level")
         raise err
     return SearchOutcome(decoded_label=label, distance=distance, node_generations=n_c,
                          unique_nodes=n_c if unique is None else unique,
@@ -429,16 +424,19 @@ class _CostHeap:
 
 
 def gbb_run(problem: TreeProblem, policy: SearchPolicy, on_node=None):
-    """Run the branch-and-bound loop under the given policy.
+    """Run the branch-and-bound loop (see the module docstring) once under
+    the policy's bounds.  Raises EmptySearchSpace when no leaf was found."""
+    label, distance, n_c, gen_per_level, budget_hit = _attempt(
+        problem, policy, _bounds_vector(policy, problem.m), on_node)
+    return _finish(problem, policy.name, label, distance, n_c, budget_hit,
+                   gen_per_level=gen_per_level)
 
-    The loop inspects the top of ACTIVE; a leaf updates the incumbent and
-    the bound (rule g1) and is removed; an invalid node is removed; an
-    exhausted node is removed; otherwise one more child is generated in
-    the policy's order, the counter and rule g2 are applied, and the list
-    is re-sorted.  Raises EmptySearchSpace when no leaf was found.
-    """
+
+def _attempt(problem, policy, t, on_node):
+    """One run of the loop under the bound vector t (changed in place by
+    g1 and g2).  Returns (label or None, distance, n_c, gen_per_level,
+    budget_hit)."""
     m = problem.m
-    t = _bounds_vector(policy, m)
     root = _Node((), 0, 0.0)
     if policy.sort in ("lifo", "fifo"):
         active = _Deque(root, policy.sort == "lifo")
@@ -494,43 +492,29 @@ def gbb_run(problem: TreeProblem, policy: SearchPolicy, on_node=None):
             budget_hit = True
             break
 
-    return _finish(problem, policy.name, best_label, best_g, n_c, budget_hit,
-                   gen_per_level=gen_per_level)
+    return best_label, best_g, n_c, gen_per_level, budget_hit
 
 
-def restart_schedule(problem, policy, factor=2.0, max_restarts=64, on_node=None):
-    """Run gbb_run, relaxing finite bounds by `factor` whenever the search
-    space turns out to be empty.  Restarts, node counts, unique nodes and
-    per-level counts accumulate over the attempts, so the per-level counts
-    sum to n_c.  Every attempt calls the one hook on_node, so it sees every
+def restart_schedule(problem, policy, on_node=None):
+    """Run the loop, doubling the bounds after every attempt that finds no
+    leaf, until one finds a leaf, the node budget runs out, or doubling
+    leaves the bounds unchanged (all infinite or zero).  Node counts and
+    per-level counts add up over the attempts, so the per-level counts sum
+    to n_c.  Every attempt calls the one hook on_node, so it sees every
     child of every attempt: n_c is their number plus one root per attempt."""
-    total = unique = 0
-    per_level = [0] * (problem.m + 1)
-    restarts = 0
-    pol = policy
+    t = _bounds_vector(policy, problem.m)
+    n_c, per_level, restarts = 0, [0] * (problem.m + 1), 0
     while True:
-        try:
-            out = gbb_run(problem, pol, on_node=on_node)
-            out.node_generations += total
-            out.unique_nodes += unique
-            if restarts:
-                out.gen_per_level = [a + b for a, b in zip(per_level, out.gen_per_level)]
-            out.restarts = restarts
-            return out
-        except EmptySearchSpace as err:
-            total += err.node_generations
-            unique += err.unique_nodes
-            per_level = [a + b for a, b in zip(per_level, err.gen_per_level)]
-            restarts += 1
-            if restarts > max_restarts:
-                raise
-            if isinstance(pol.bound, (tuple, list)):
-                new_bound = tuple(v * factor if v != INF else v for v in pol.bound)
-            else:
-                new_bound = pol.bound * factor if pol.bound != INF else pol.bound
-            if new_bound == pol.bound:
-                raise  # nothing to relax
-            pol = replace(pol, bound=new_bound)
+        label, distance, n, levels, budget_hit = _attempt(problem, policy, list(t), on_node)
+        n_c += n
+        per_level = [a + b for a, b in zip(per_level, levels)]
+        wider = [2.0 * v for v in t]
+        if label is not None or budget_hit or wider == t:
+            break
+        t = wider
+        restarts += 1
+    return _finish(problem, policy.name, label, distance, n_c, budget_hit,
+                   gen_per_level=per_level, restarts=restarts)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import latdec
 from latdec import oracle, sim
 from latdec.errors import TooLarge
 from latdec.preprocess import apply_back_map, form_tree
-from latdec.search import _babai_descent
 
 pytestmark = pytest.mark.acceptance
 
@@ -74,7 +73,7 @@ def test_criterion_2_stack_generates_fewest_nodes():
                          "lattice")
         st = latdec.gbb_run(prob, latdec.policy_stack(0.0))
         se = latdec.gbb_run(prob, latdec.policy_se())
-        _, d_bab = _babai_descent(prob)
+        d_bab = latdec.gbb_run(prob, latdec.policy_babai()).distance
         C0 = d_bab * (1 + 1e-9) + 1e-12
         vb = latdec.restart_schedule(prob, latdec.policy_vb(C0))
         po = latdec.restart_schedule(prob, latdec.policy_pohst(C0))

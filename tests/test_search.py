@@ -131,6 +131,29 @@ def test_restart_schedule_infinite_radius_no_restarts():
     assert out.restarts == 0
 
 
+def test_nan_bound_is_rejected():
+    # restarts have no cap, so a NaN bound, which doubling never changes
+    # into an equal one, must fail before the first attempt
+    _, prob = _random_problem(4, M=2)
+    for policy in (policy_pohst(float("nan")),
+                   policy_ir([1.0] * (prob.m - 1) + [float("nan")])):
+        for run in (gbb_run, restart_schedule):
+            with pytest.raises(ValueError, match="NaN bound"):
+                run(prob, policy)
+
+
+def test_restart_schedule_zero_radius_makes_one_attempt():
+    # doubling a zero radius leaves it unchanged: one attempt, then
+    # EmptySearchSpace carrying that attempt's n_c
+    _, prob = _random_problem(4, M=2)
+    with pytest.raises(EmptySearchSpace) as single:
+        gbb_run(prob, policy_pohst(0.0))
+    trace = []
+    with pytest.raises(EmptySearchSpace) as err:
+        restart_schedule(prob, policy_pohst(0.0), on_node=trace.append)
+    assert err.value.node_generations == single.value.node_generations == len(trace) + 1
+
+
 def test_budget_hit_flags_and_falls_back():
     from dataclasses import replace
     _, prob = _random_problem(5, M=4, rho_db=0.0)
@@ -144,14 +167,13 @@ def test_budget_hit_flags_and_falls_back():
 
 
 def test_optimal_policies_agree_with_each_other_and_box_oracle():
-    from latdec.search import _babai_descent
     agreements = 0
     for seed in range(60):
         _, prob = _random_problem(seed, M=int(2 + seed % 3), rho_db=8.0,
                                   right="lll+permute")
         se = gbb_run(prob, policy_se())
         st = gbb_run(prob, policy_stack(0.0))
-        _, d_bab = _babai_descent(prob)
+        d_bab = gbb_run(prob, policy_babai()).distance
         C0 = d_bab * (1 + 1e-9) + 1e-12
         vb = restart_schedule(prob, policy_vb(C0))
         po = restart_schedule(prob, policy_pohst(C0))
@@ -167,13 +189,12 @@ def test_optimal_policies_agree_with_each_other_and_box_oracle():
 
 
 def test_stack_generates_fewest_nodes():
-    from latdec.search import _babai_descent
     for seed in range(40):
         _, prob = _random_problem(seed + 100, M=int(2 + seed % 3), rho_db=9.0,
                                   right="lll+permute")
         st = gbb_run(prob, policy_stack(0.0))
         se = gbb_run(prob, policy_se())
-        _, d_bab = _babai_descent(prob)
+        d_bab = gbb_run(prob, policy_babai()).distance
         C0 = d_bab * (1 + 1e-9) + 1e-12
         vb = restart_schedule(prob, policy_vb(C0))
         po = restart_schedule(prob, policy_pohst(C0))
@@ -233,8 +254,7 @@ def test_ir_policy_trace_equals_oracle_set():
 
 def test_pohst_trace_equals_oracle_set():
     _, prob = _random_problem(7, M=2, rho_db=8.0, right="lll")
-    from latdec.search import _babai_descent
-    _, d_bab = _babai_descent(prob)
+    d_bab = gbb_run(prob, policy_babai()).distance
     C0 = d_bab * 1.5
     trace = []
     gbb_run(prob, policy_pohst(C0), on_node=trace.append)
@@ -244,8 +264,7 @@ def test_pohst_trace_equals_oracle_set():
 
 def test_ep_matches_pohst_with_constant_weights():
     _, prob = _random_problem(8, M=2, rho_db=8.0, right="lll")
-    from latdec.search import _babai_descent
-    _, d_bab = _babai_descent(prob)
+    d_bab = gbb_run(prob, policy_babai()).distance
     C0 = d_bab * 1.3
     po_trace, ep_trace = [], []
     po = gbb_run(prob, policy_pohst(C0), on_node=po_trace.append)
