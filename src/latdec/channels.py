@@ -316,8 +316,12 @@ def coded_labels(P, q, u):
     return np.concatenate([u, t])
 
 
+# an ISI code with at most this many codewords lists them as an explicit info set
+EXPLICIT_LABEL_LIMIT = 2**16
+
+
 @lru_cache(maxsize=16)
-def _isi_lattice(gen_polys, frame, q, kappa, explicit_limit):
+def _isi_lattice(gen_polys, frame, q, kappa):
     """Construction-A lattice code of a terminated convolutional code; cached
     because it is identical for every frame of a sweep."""
     k = conv_info_len(gen_polys, frame)
@@ -328,7 +332,7 @@ def _isi_lattice(gen_polys, frame, q, kappa, explicit_limit):
     G = 2.0 * kappa * Ga.astype(float)
     v = -kappa * (q - 1) * np.ones(frame)
     labels = None
-    if q**k <= explicit_limit:
+    if q**k <= EXPLICIT_LABEL_LIMIT:
         us = (np.arange(q**k)[:, None] // q ** np.arange(k - 1, -1, -1)[None, :]) % q
         labels = np.hstack([us, -((us @ P.T) // q)])
     iset = InfoSet("explicit", labels=labels) if labels is not None \
@@ -345,7 +349,7 @@ def _isi_channel(taps, frame_len, rho):
     return H
 
 
-def build_isi_instance(cfg: IsiConfig, rng, noiseless=False, explicit_limit=2**16):
+def build_isi_instance(cfg: IsiConfig, rng, noiseless=False):
     """Draw one ISI frame: banded Toeplitz channel, PAM symbols, optional
     convolutional coding via the mod-Q lattice lift.  Instances with the
     same taps, frame length and SNR share one read-only H."""
@@ -357,7 +361,7 @@ def build_isi_instance(cfg: IsiConfig, rng, noiseless=False, explicit_limit=2**1
         x = rng.integers(0, cfg.Q, size=frame)
         info_len = frame
     else:
-        code, P, k = _isi_lattice(tuple(cfg.gen_polys), frame, cfg.Q, kappa, explicit_limit)
+        code, P, k = _isi_lattice(tuple(cfg.gen_polys), frame, cfg.Q, kappa)
         u = rng.integers(0, cfg.Q, size=k)
         x = coded_labels(P, cfg.Q, u)
         info_len = k

@@ -18,6 +18,7 @@ from .errors import TooLarge
 from .preprocess import TreeProblem
 
 ENUM_GUARD = 2**20
+ENUM_CHUNK = 4096  # candidate labels per vectorized batch
 
 
 @dataclass
@@ -27,20 +28,20 @@ class MlResult:
     tie: bool
 
 
-def _enumerate_labels(info_set, m, chunk=4096):
+def _enumerate_labels(info_set, m):
     """Yield candidate label chunks (arrays of shape (B, m))."""
     if info_set.kind == "explicit":
         labels = info_set.labels
-        for i in range(0, len(labels), chunk):
-            yield np.asarray(labels[i:i + chunk], dtype=int)
+        for i in range(0, len(labels), ENUM_CHUNK):
+            yield np.asarray(labels[i:i + ENUM_CHUNK], dtype=int)
         return
     if info_set.kind != "hypercube":
         raise TooLarge("cannot enumerate an unconstrained information set")
     q = info_set.q
     total = q**m
     weights = q ** np.arange(m - 1, -1, -1)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, ENUM_CHUNK):
+        idx = np.arange(start, min(start + ENUM_CHUNK, total))
         yield (idx[:, None] // weights[None, :]) % q
 
 
@@ -121,9 +122,6 @@ class OracleBox:
     center: np.ndarray
     radius: np.ndarray
 
-    def volume(self):
-        return int(np.prod(2 * self.radius.astype(object) + 1))
-
 
 def babai_box(problem: TreeProblem):
     """Box certified to contain the closest lattice point.
@@ -175,10 +173,9 @@ def box_clps(problem: TreeProblem, box: OracleBox):
     y = problem.y
     best_d = math.inf
     best_label = None
-    chunk = 4096
     weights = np.concatenate([np.cumprod(widths[::-1])[::-1][1:], [1]]).astype(np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, ENUM_CHUNK):
+        idx = np.arange(start, min(start + ENUM_CHUNK, total), dtype=np.int64)
         Z = lo[None, :] + (idx[:, None] // weights[None, :]) % widths[None, :]
         Zphys = Z[:, ::-1]
         diff = y[None, :] - Zphys @ R.T

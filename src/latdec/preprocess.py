@@ -34,7 +34,6 @@ class LeftPreprocResult:
 
     Q1: np.ndarray
     R1: np.ndarray
-    mode: str
 
 
 def left_preprocess(H, mode="mmse"):
@@ -49,10 +48,10 @@ def left_preprocess(H, mode="mmse"):
     if mode == "mmse":
         aug = np.vstack([H, np.eye(m)])
         Qa, R1 = qr_decompose(aug)
-        return LeftPreprocResult(Q1=Qa[:n], R1=R1, mode="mmse")
+        return LeftPreprocResult(Q1=Qa[:n], R1=R1)
     if mode == "zf":
         Q1, R1 = qr_decompose(H)  # raises RankDeficient when rank < m
-        return LeftPreprocResult(Q1=Q1, R1=R1, mode="zf")
+        return LeftPreprocResult(Q1=Q1, R1=R1)
     raise ValueError(f"unknown left preprocessing mode {mode!r}")
 
 

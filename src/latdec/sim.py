@@ -451,12 +451,8 @@ class SweepReport:
     def to_csv(self):
         return "".join(line + "\n" for line in self.csv_lines())
 
-    def fer_curve(self):
-        return [(p.snr_db, p.frame_errors / p.trials if p.trials else float("nan"))
-                for p in self.points]
 
-
-def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limit=0):
+def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limit):
     """Decode frames [start, start+count) of one SNR point for every config.
 
     Returns one PointStats per config, per config the frame records
