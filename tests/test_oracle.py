@@ -91,13 +91,21 @@ def test_ml_plan_on_fixed_vblast_hypercube_matches_reference():
         assert plan.candidates is None  # a hypercube is enumerated per call
 
 
-@pytest.mark.parametrize("rest", [0.5, -1.0])
-def test_ml_plan_ties_across_chunks_match_reference(rest):
+@pytest.mark.parametrize("rest, descending", [(0.5, False), (-1.0, False), (-1.0, True)],
+                         ids=["0.5", "-1.0", "-1.0-explicit-descending"])
+def test_ml_plan_ties_across_chunks_match_reference(rest, descending):
     # 2^13 labels, two chunks of 4096.  rest=0.5: every label is at the same
     # distance; rest=-1: one closest label in each chunk, (0,..,0) and
-    # (1,0,..,0), at the same distance
+    # (1,0,..,0), at the same distance.  The hypercube comes in lexicographic
+    # order; the same labels listed explicitly in descending order put the
+    # smaller tied label in the later chunk
     m = 13
-    code = LatticeCode(np.eye(m), np.zeros(m), InfoSet("hypercube", q=2))
+    if descending:
+        idx = np.arange(2**m)[::-1]
+        info_set = InfoSet("explicit", labels=(idx[:, None] >> np.arange(m - 1, -1, -1)) & 1)
+    else:
+        info_set = InfoSet("hypercube", q=2)
+    code = LatticeCode(np.eye(m), np.zeros(m), info_set)
     received = np.full(m, rest)
     received[0] = 0.5
     inst = latdec.ChannelInstance(H=np.eye(m), code=code, x_true=np.zeros(m, dtype=int),

@@ -126,6 +126,10 @@ def _with_nan(a):
     (lambda: _base_config(channel=dict(LD_1X1, generator=5)), ConfigError, "'generator'"),
     (lambda: _base_config(channel=dict(LD_1X1, generator=[[1, 2]])), ConfigError,
      "'generator'"),
+    (lambda: _base_config(channel=dict(LD_1X1, generator=[[[1, 0]], [1]])), ConfigError,
+     "'generator'"),
+    (lambda: _base_config(channel={"type": "vblast", "N": 2}), ConfigError,
+     "^missing vblast channel field 'M'$"),
     (lambda: _base_config(channel=dict(LD_1X1, generator_seed=-1)), ConfigError,
      "'generator_seed'"),
     (lambda: _base_config(channel=dict(LD_1X1, generator_seed=1.5)), ConfigError,
@@ -148,7 +152,8 @@ def _with_nan(a):
         "target-text", "target-negative", "isi-taps-inf", "isi-taps-zero", "isi-taps-empty",
         "isi-gen-polys-0", "isi-gen-polys-digit-8", "isi-gen-polys-negative",
         "ld-generator-scalar",
-        "ld-generator-shape", "ld-generator-seed-negative", "ld-generator-seed-fraction",
+        "ld-generator-shape", "ld-generator-ragged", "vblast-M-missing",
+        "ld-generator-seed-negative", "ld-generator-seed-fraction",
         "ld-generator-and-seed", "received-nan", "H-nan"])
 def test_bad_input_fails_early_naming_the_field(build, error, match):
     with pytest.raises(error, match=match):
@@ -184,6 +189,31 @@ def test_reproducible_csv_across_runs_and_workers():
     assert a == b
     c = sim.run_sweep(cfg, workers=2).to_csv()
     assert a == c
+
+
+def test_ld_explicit_generator_matches_its_seed():
+    # the [re, im] pairs of the generator that generator_seed 3 draws give
+    # the same sweep, byte for byte
+    M, T = 1, 2
+    gen = latdec.channels.random_unitary(M * T, 3)
+    pairs = np.stack([gen.real, gen.imag], axis=-1).tolist()
+    a, b = (sim.run_sweep(sim.parse_config(_base_config(
+        channel=dict(type="ld", M=M, N=1, T=T, **extra)))).to_csv()
+        for extra in ({"generator": pairs}, {"generator_seed": 3}))
+    assert a == b
+
+
+def test_tiny_radius_sweep_restarts_until_a_leaf():
+    # restarts have no cap: from a radius of 1e-300 every frame doubles it
+    # about a thousand times before a leaf, and the sweep decodes them all
+    cfg = sim.parse_config(_base_config(decoder={"name": "pohst", "radius": 1e-300},
+                                        trials=5, snr_grid_db=[10.0]))
+    assert sim.run_sweep(cfg).points[0].trials == 5
+    ch = replace(cfg.channel, rho=10.0)
+    for frame in range(5):
+        inst = latdec.sample_vblast(ch, latdec.frame_rng(cfg.seed, 0, frame))
+        problem = cfg.preproc.plan(inst.H, inst.code).problem_for(inst.received)
+        assert sim.decode_frame(inst, problem, cfg.decoder).restarts > 64
 
 
 def test_one_process_pool_per_sweep(monkeypatch):
