@@ -231,13 +231,16 @@ def lll_reduce(B, delta=0.99, deep=False):
 
     The reduction runs on the triangular factor R of B = Q R (effective
     LLL, Ling and Howgrave-Graham, ISIT 2007): an upper-triangular B with a
-    positive diagonal is its own R, and any other B is factored once.  A
-    column insertion (a swap is an insertion one place back) is undone by
-    Givens rotations.  Inside the loop only the entry the Lovasz test reads
-    is size-reduced; deep insertion tests every position, so it reduces the
-    whole column.  One full size reduction at the end gives the same basis
-    as size-reducing everything inside the loop.  The records are kept in
-    Python ints while the loop runs, so they are exact.
+    positive diagonal is its own R, and any other B is factored once.  One
+    loop serves both variants.  The adjacent step size-reduces only the
+    entry r_{k-1,k} that the Lovasz test reads and swaps columns k-1 and k
+    when delta * r_{k-1,k-1}^2 > r_{k-1,k}^2 + r_{k,k}^2.  The deep branch
+    size-reduces the whole column k and inserts it at the first position
+    whose test fails.  A column insertion (a swap is an insertion one place
+    back) is undone by Givens rotations.  One full size reduction at the
+    end gives the same basis as size-reducing everything inside the loop.
+    The records are kept in Python ints while the loop runs, so they are
+    exact.
     """
     if not 0.25 < delta <= 1.0:
         raise ValueError("delta must lie in (0.25, 1]")
@@ -249,53 +252,66 @@ def lll_reduce(B, delta=0.99, deep=False):
         R = qr_decompose(B)[1].T.tolist()  # raises RankDeficient
     # R[c] is column c of the triangular factor; Ti[c] is column c of T_inv
     # and T[c] row c of T, so moving a basis column moves one list each
-    Ti = [[int(i == c) for i in range(n)] for c in range(n)]
-    T = [[int(i == c) for i in range(n)] for c in range(n)]
+    unit = [0] * (n - 1) + [1] + [0] * (n - 1)  # unit[n-1-c:][:n] is e_c
+    Ti = [unit[n - 1 - c:2 * n - 1 - c] for c in range(n)]
+    T = [unit[n - 1 - c:2 * n - 1 - c] for c in range(n)]
 
     def subtract(k, j, q):
         # basis column k -= q * column j
-        Rk, Rj = R[k], R[j]
-        for i in range(j + 1):
-            Rk[i] -= q * Rj[i]
+        Rk = R[k]
+        Rk[:j + 1] = [a - q * b for a, b in zip(Rk, R[j][:j + 1])]
         Ti[k] = [a - q * b for a, b in zip(Ti[k], Ti[j])]
         T[j] = [a + q * b for a, b in zip(T[j], T[k])]
 
-    def insert(k, i):
+    k = 1
+    while k < n:
+        Rk = R[k]
+        if deep:
+            for j in range(k - 1, -1, -1):
+                q = round(Rk[j] / R[j][j])
+                if q:
+                    subtract(k, j, q)
+            # insert column k at the first position i where the squared length
+            # of its projection orthogonal to columns 0..i-1 is below delta * r_ii^2
+            c = sum(v * v for v in Rk[:k + 1])
+            for i in range(k):
+                if delta * R[i][i] ** 2 > c:
+                    break
+                c -= Rk[i] ** 2
+            else:
+                k += 1
+                continue
+        else:
+            i = k - 1
+            d = R[i][i]
+            q = round(Rk[i] / d)
+            if q:
+                subtract(k, i, q)
+            x, y = Rk[i], Rk[k]
+            if not delta * d ** 2 > x * x + y * y:
+                k += 1
+                continue
         # move basis column k to position i; column i of R then has a spike
         # in rows i+1..k, cleared by rotating row pairs from the bottom up
         for lst in (R, Ti, T):
             lst.insert(i, lst.pop(k))
+        Ri = R[i]
         for r in range(k, i, -1):
-            a, b = R[i][r - 1], R[i][r]
+            r1 = r - 1
+            a, b = Ri[r1], Ri[r]
             rho = math.hypot(a, b)  # > 0: b is r_kk, then the previous rho
             c, s = a / rho, b / rho
             for col in R[i:]:
-                u, v = col[r - 1], col[r]
-                col[r - 1], col[r] = c * u + s * v, c * v - s * u
-            R[i][r] = 0.0
-
-    k = 1
-    while k < n:
-        lo = 0 if deep else k - 1
-        Rk = R[k]
-        for j in range(k - 1, lo - 1, -1):
-            q = round(Rk[j] / R[j][j])
-            if q:
-                subtract(k, j, q)
-        # insert column k at the first position i where the squared length
-        # of its projection orthogonal to columns 0..i-1 is below delta * r_ii^2
-        c = sum(v * v for v in Rk[lo:k + 1])
-        for i in range(lo, k):
-            if delta * R[i][i] ** 2 > c:
-                insert(k, i)
-                k = max(i, 1)
-                break
-            c -= Rk[i] ** 2
-        else:
-            k += 1
+                u = col[r1]
+                v = col[r]
+                col[r1] = c * u + s * v
+                col[r] = c * v - s * u
+            Ri[r] = 0.0
+        k = max(i, 1)
     for j in range(n - 2, -1, -1):
+        d = R[j][j]
         for k in range(j + 1, n):
-            q = round(R[k][j] / R[j][j])
+            q = round(R[k][j] / d)
             if q:
                 subtract(k, j, q)
     record = UnimodularRecord(T=_int_array(T), T_inv=_int_array(Ti).T.copy())

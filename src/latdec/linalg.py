@@ -4,6 +4,8 @@ Matrices are plain numpy arrays (float64, row-major); complex inputs are
 numpy complex128 arrays.  All functions are pure.
 """
 
+import math
+
 import numpy as np
 
 from .errors import RankDeficient, SingularDiagonal
@@ -21,15 +23,13 @@ def qr_decompose(A):
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
         raise RankDeficient(f"need rows >= cols, got shape {A.shape}")
     Q, R = np.linalg.qr(A, mode="reduced")
-    signs = np.sign(np.diag(R))
-    signs[signs == 0.0] = 1.0
-    Q = Q * signs[np.newaxis, :]
-    R = R * signs[:, np.newaxis]
-    col_norms = np.linalg.norm(A, axis=0)
-    scale = col_norms.max() if col_norms.size else 0.0
-    if scale == 0.0 or np.abs(np.diag(R)).min() < QR_TOL * scale:
+    d = R.diagonal()
+    # the largest column norm, squared: max and sqrt commute exactly
+    scale = math.sqrt((A * A).sum(axis=0).max()) if A.shape[1] else 0.0
+    if scale == 0.0 or np.abs(d).min() < QR_TOL * scale:
         raise RankDeficient("R diagonal below rank tolerance")
-    return Q, R
+    signs = np.where(d < 0.0, -1.0, 1.0)
+    return Q * signs, R * signs[:, np.newaxis]
 
 
 def back_substitute(R, y):

@@ -15,6 +15,7 @@ physical row, level m the first.  A search label (x_1 .. x_k) fixes the
 last k entries of the integer solution vector.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +71,10 @@ def vblast_greedy_order(A):
     The squared pseudo-inverse row norms of the remaining columns are the
     diagonal of P = (A_S' A_S)^-1, so P is formed once from the QR factor
     of A and each detected column is removed by a rank-one downdate of P
-    (Benesty, Huang and Chen, IEEE TSP 2003): O(m^3) in all.
+    (Benesty, Huang and Chen, IEEE TSP 2003): O(m^3) in all.  Each step
+    reads the diagonal once as Python floats, picks among the remaining
+    columns there, and downdates P with one outer product; the column left
+    last is detected first without a step.
     """
     A = np.asarray(A, dtype=float)
     m = A.shape[1]
@@ -80,24 +84,19 @@ def vblast_greedy_order(A):
         raise RankDeficient("ordering needs full column rank")
     R_inv = np.linalg.inv(R)
     P = R_inv @ R_inv.T
-    remaining = np.ones(m, dtype=bool)
+    remaining = list(range(m))
     perm = [0] * m
-    for slot in range(m - 1, -1, -1):
-        gains = np.divide(1.0, P.diagonal(), out=np.zeros(m), where=remaining)
-        best = int(np.flatnonzero(gains >= gains.max() * (1.0 - ORDER_TIE_RTOL))[-1])
+    for slot in range(m - 1, 0, -1):
+        diag = P.diagonal().tolist()
+        gains = [1.0 / diag[j] for j in remaining]
+        cut = max(gains) * (1.0 - ORDER_TIE_RTOL)
+        best = [j for j, g in zip(remaining, gains) if g >= cut][-1]
         perm[slot] = best
-        remaining[best] = False
-        p = P[:, best] / np.sqrt(P[best, best])
-        P -= np.outer(p, p)
+        remaining.remove(best)
+        p = P[:, best] / math.sqrt(diag[best])
+        P -= p[:, None] * p
+    perm[0] = remaining[0]  # the last column left needs no gain
     return perm
-
-
-def _perm_record(perm):
-    """Unimodular record of the column permutation A -> A[:, perm]."""
-    m = len(perm)
-    P = np.zeros((m, m), dtype=np.int64)
-    P[perm, np.arange(m)] = 1
-    return UnimodularRecord(T=P.T.copy(), T_inv=P)
 
 
 def right_preprocess(A, mode="none", lll_delta=0.99, lll_deep=False):
@@ -113,14 +112,14 @@ def right_preprocess(A, mode="none", lll_delta=0.99, lll_deep=False):
     m = A.shape[1]
     if mode not in RIGHT_MODES:
         raise ValueError(f"unknown right preprocessing mode {mode!r}")
-    record = UnimodularRecord.identity(m)
-    work = A
     if mode in ("lll", "lll+permute"):
         work, record = lll_reduce(A, delta=lll_delta, deep=lll_deep)
+    else:
+        work, record = A, UnimodularRecord.identity(m)
     if mode in ("permute", "lll+permute"):
         perm = vblast_greedy_order(work)
         work = work[:, perm]
-        record = _perm_record(perm).compose_left(record)
+        record = UnimodularRecord(T=record.T[perm], T_inv=record.T_inv[:, perm])
     if work.shape[0] == m and np.all(np.diag(work) > 0) \
             and not np.tril(work, -1).any():
         Q, R = np.eye(m), work  # already upper triangular, QR is trivial

@@ -8,6 +8,13 @@ every candidate's channel output again on each call, from integer labels.
 The Fano decoder is the form that builds a fresh child generator on every
 forward move, revisits included, and keeps a set of the labels visited.
 They are slow and kept only as oracles.
+
+The bit-identity oracles are earlier forms of the library's per-frame
+preprocessing that a leaner form must match bit for bit: the QR with its
+sign and norm bookkeeping in separate numpy calls, the effective LLL
+loop whose adjacent step goes through the general insertion scan, the
+greedy ordering with array gains and np.outer downdates, and the
+permutation record composed by integer matrix products.
 """
 
 import math
@@ -15,8 +22,9 @@ import math
 import numpy as np
 
 from latdec.errors import RankDeficient
-from latdec.lattice import UnimodularRecord
-from latdec.preprocess import ORDER_TIE_RTOL
+from latdec.lattice import UnimodularRecord, _int_array
+from latdec.linalg import QR_TOL
+from latdec.preprocess import ORDER_TIE_RTOL, RIGHT_MODES
 from latdec.search import _finish
 
 
@@ -141,6 +149,145 @@ def greedy_order_pinv(A):
         best = int(np.flatnonzero(gains >= gains.max() * (1.0 - ORDER_TIE_RTOL))[-1])
         perm[slot] = remaining.pop(best)
     return perm
+
+
+def qr_decompose_signs(A):
+    """Thin QR with a positive R diagonal; same contract as
+    latdec.linalg.qr_decompose."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] < A.shape[1]:
+        raise RankDeficient(f"need rows >= cols, got shape {A.shape}")
+    Q, R = np.linalg.qr(A, mode="reduced")
+    signs = np.sign(np.diag(R))
+    signs[signs == 0.0] = 1.0
+    Q = Q * signs[np.newaxis, :]
+    R = R * signs[:, np.newaxis]
+    col_norms = np.linalg.norm(A, axis=0)
+    scale = col_norms.max() if col_norms.size else 0.0
+    if scale == 0.0 or np.abs(np.diag(R)).min() < QR_TOL * scale:
+        raise RankDeficient("R diagonal below rank tolerance")
+    return Q, R
+
+
+def lll_reduce_scan(B, delta=0.99, deep=False):
+    """Effective LLL on the R factor, each step through the insertion scan.
+
+    Same contract as latdec.lattice.lll_reduce, with the same floating-point
+    and integer operations in the same order.
+    """
+    if not 0.25 < delta <= 1.0:
+        raise ValueError("delta must lie in (0.25, 1]")
+    B = np.asarray(B, dtype=float)
+    n = B.shape[1]
+    if B.shape == (n, n) and np.all(np.diag(B) > 0) and not np.tril(B, -1).any():
+        R = B.T.tolist()
+    else:
+        R = qr_decompose_signs(B)[1].T.tolist()
+    Ti = [[int(i == c) for i in range(n)] for c in range(n)]
+    T = [[int(i == c) for i in range(n)] for c in range(n)]
+
+    def subtract(k, j, q):
+        Rk, Rj = R[k], R[j]
+        for i in range(j + 1):
+            Rk[i] -= q * Rj[i]
+        Ti[k] = [a - q * b for a, b in zip(Ti[k], Ti[j])]
+        T[j] = [a + q * b for a, b in zip(T[j], T[k])]
+
+    def insert(k, i):
+        for lst in (R, Ti, T):
+            lst.insert(i, lst.pop(k))
+        for r in range(k, i, -1):
+            a, b = R[i][r - 1], R[i][r]
+            rho = math.hypot(a, b)
+            c, s = a / rho, b / rho
+            for col in R[i:]:
+                u, v = col[r - 1], col[r]
+                col[r - 1], col[r] = c * u + s * v, c * v - s * u
+            R[i][r] = 0.0
+
+    k = 1
+    while k < n:
+        lo = 0 if deep else k - 1
+        Rk = R[k]
+        for j in range(k - 1, lo - 1, -1):
+            q = round(Rk[j] / R[j][j])
+            if q:
+                subtract(k, j, q)
+        c = sum(v * v for v in Rk[lo:k + 1])
+        for i in range(lo, k):
+            if delta * R[i][i] ** 2 > c:
+                insert(k, i)
+                k = max(i, 1)
+                break
+            c -= Rk[i] ** 2
+        else:
+            k += 1
+    for j in range(n - 2, -1, -1):
+        for k in range(j + 1, n):
+            q = round(R[k][j] / R[j][j])
+            if q:
+                subtract(k, j, q)
+    record = UnimodularRecord(T=_int_array(T), T_inv=_int_array(Ti).T.copy())
+    if not record.verify():
+        raise ArithmeticError("LLL records are not inverse to each other")
+    return B @ record.T_inv.astype(float), record
+
+
+def greedy_order_outer(A):
+    """Greedy ordering by rank-one downdates of (A' A)^-1, in array form.
+
+    Same contract as latdec.preprocess.vblast_greedy_order, with the same
+    floating-point operations.
+    """
+    A = np.asarray(A, dtype=float)
+    m = A.shape[1]
+    R = np.linalg.qr(A, mode="r")
+    d = np.abs(np.diag(R))
+    if R.shape[0] < m or d.min() <= d.max() * max(A.shape) * np.finfo(float).eps:
+        raise RankDeficient("ordering needs full column rank")
+    R_inv = np.linalg.inv(R)
+    P = R_inv @ R_inv.T
+    remaining = np.ones(m, dtype=bool)
+    perm = [0] * m
+    for slot in range(m - 1, -1, -1):
+        gains = np.divide(1.0, P.diagonal(), out=np.zeros(m), where=remaining)
+        best = int(np.flatnonzero(gains >= gains.max() * (1.0 - ORDER_TIE_RTOL))[-1])
+        perm[slot] = best
+        remaining[best] = False
+        p = P[:, best] / np.sqrt(P[best, best])
+        P -= np.outer(p, p)
+    return perm
+
+
+def perm_record(perm):
+    """Unimodular record of the column permutation A -> A[:, perm]."""
+    m = len(perm)
+    P = np.zeros((m, m), dtype=np.int64)
+    P[perm, np.arange(m)] = 1
+    return UnimodularRecord(T=P.T.copy(), T_inv=P)
+
+
+def right_preprocess_composed(A, mode="none", lll_delta=0.99, lll_deep=False):
+    """latdec.preprocess.right_preprocess built from the oracles above, the
+    permutation record composed with the LLL record by matrix products."""
+    A = np.asarray(A, dtype=float)
+    m = A.shape[1]
+    if mode not in RIGHT_MODES:
+        raise ValueError(f"unknown right preprocessing mode {mode!r}")
+    record = UnimodularRecord.identity(m)
+    work = A
+    if mode in ("lll", "lll+permute"):
+        work, record = lll_reduce_scan(A, delta=lll_delta, deep=lll_deep)
+    if mode in ("permute", "lll+permute"):
+        perm = greedy_order_outer(work)
+        work = work[:, perm]
+        record = perm_record(perm).compose_left(record)
+    if work.shape[0] == m and np.all(np.diag(work) > 0) \
+            and not np.tril(work, -1).any():
+        Q, R = np.eye(m), work
+    else:
+        Q, R = qr_decompose_signs(work)
+    return Q, R, record
 
 
 def _label_chunks(info_set, m, chunk=4096):

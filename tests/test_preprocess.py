@@ -288,3 +288,78 @@ def test_lattice_invariance_through_T():
         assert np.abs(Q2.T @ (B @ x.astype(float)) - R @ z).max() < 1e-7
         x_back = np.asarray(rec.T_inv @ np.asarray(rec.T @ x.astype(object)), dtype=int)
         assert np.array_equal(x_back, x)
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the earlier forms of the per-frame preprocessing
+
+
+def _same_record(rec, rec0):
+    for a, b in ((rec.T, rec0.T), (rec.T_inv, rec0.T_inv)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _oracle_bases():
+    """About 1,000 bases of every shape the LLL loop and the ordering see,
+    as (basis, delta, deep)."""
+    for seed, db, frames in ((40, 13, 250), (41, 20, 250)):
+        # 16-dimensional MMSE bases, upper triangular; 20 dB carries |mu| = 1/2 ties
+        cfg = latdec.VblastConfig(M=8, N=8, Q=2, rho=10.0 ** (db / 10))
+        for f in range(frames):
+            inst = latdec.sample_vblast(cfg, latdec.frame_rng(seed, f))
+            B = left_preprocess(inst.H, "mmse").R1 @ inst.code.generator
+            yield B, 0.99, False
+            if f % 4 == 0:
+                yield B, 0.99, True
+            elif f % 4 == 1:
+                yield B, 0.75, False
+    rng = np.random.default_rng(42)
+    for _ in range(120):
+        yield rng.standard_normal((8, 8)) * rng.uniform(0.5, 20.0), 0.99, False
+    for _ in range(30):  # tall, so the loop starts from a QR
+        yield rng.standard_normal((12, 8)), 0.99, bool(rng.integers(2))
+    for n in (1, 2):
+        for _ in range(40):
+            yield rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3), 0.99, False
+    yield np.array([[1.0, 1e19], [0.0, 1.0]]), 0.99, False  # records beyond int64
+
+
+def _oracle_plan_streams():
+    vb = latdec.VblastConfig(M=4, N=4, Q=2, rho=20.0)
+    yield lambda f: latdec.sample_vblast(vb, latdec.frame_rng(43, f))
+    ld = latdec.LdCodeConfig(generator_c=latdec.channels.random_unitary(6, 2), M=2, N=2,
+                             T=3, rho=20.0)
+    yield lambda f: latdec.build_ld_instance(ld, latdec.frame_rng(44, f))
+    isi = latdec.IsiConfig(taps=(0.848, -0.424, 0.2545, -0.1696, 0.0848), frame_len=24,
+                           gen_polys=(5, 7), rho=10.0 ** 0.65)
+    yield lambda f: latdec.build_isi_instance(isi, latdec.frame_rng(45, f))
+
+
+def test_preprocessing_is_bit_identical_to_its_oracles(monkeypatch):
+    from latdec import preprocess
+    from reference import (greedy_order_outer, lll_reduce_scan, qr_decompose_signs,
+                           right_preprocess_composed)
+
+    bases = 0
+    for B, delta, deep in _oracle_bases():
+        red, rec = lll_reduce(B, delta=delta, deep=deep)
+        red0, rec0 = lll_reduce_scan(B, delta=delta, deep=deep)
+        _same_record(rec, rec0)
+        assert np.array_equal(red, red0)
+        for A in (B, red):
+            with np.errstate(divide="ignore", invalid="ignore"):  # the 1e19 basis
+                assert vblast_greedy_order(A) == greedy_order_outer(A)
+        bases += 1
+    assert bases > 900
+    for frame in _oracle_plan_streams():
+        for f in range(30):
+            inst = frame(f)
+            for right in ("permute", "lll+permute"):
+                plan = latdec.prepare_tree(inst.H, inst.code, "mmse", right)
+                with monkeypatch.context() as patch:
+                    patch.setattr(preprocess, "qr_decompose", qr_decompose_signs)
+                    patch.setattr(preprocess, "right_preprocess", right_preprocess_composed)
+                    plan0 = latdec.prepare_tree(inst.H, inst.code, "mmse", right)
+                for name in ("R", "forward", "offset"):
+                    assert np.array_equal(getattr(plan, name), getattr(plan0, name))
+                _same_record(plan.back_map, plan0.back_map)
