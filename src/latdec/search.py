@@ -28,10 +28,11 @@ child_interval.  The Fano decoder (fano_decode) walks one path, revisiting
 nodes as its threshold moves in multiples of the step size, and keeps one
 table entry per distinct node, whose generator a revisit reuses.
 restart_schedule reruns the loop with every bound doubled while an attempt
-finds no leaf, with no cap: it stops at a leaf, a budget hit, or when
-doubling leaves the bounds unchanged.  Every search returns through one
-epilogue (_finish): the Babai descent (gbb_run under policy_babai) on a
-budget hit, EmptySearchSpace when no leaf was found, and the SearchOutcome.
+finds no leaf, with no cap: it stops at a leaf, when the attempts together
+spend the node budget, or when doubling leaves the bounds unchanged.  Every
+search returns through one epilogue (_finish): the Babai descent (gbb_run
+under policy_babai) on a budget hit, EmptySearchSpace when no leaf was
+found, and the SearchOutcome.
 
 A search calls its optional hook on_node with (level, label, path_metric,
 cost, bound) for each child generated (each forward move of Fano); e.g.
@@ -427,16 +428,21 @@ def gbb_run(problem: TreeProblem, policy: SearchPolicy, on_node=None):
     """Run the branch-and-bound loop (see the module docstring) once under
     the policy's bounds.  Raises EmptySearchSpace when no leaf was found."""
     label, distance, n_c, gen_per_level, budget_hit = _attempt(
-        problem, policy, _bounds_vector(policy, problem.m), on_node)
+        problem, policy, _bounds_vector(policy, problem.m), policy.node_budget, on_node)
     return _finish(problem, policy.name, label, distance, n_c, budget_hit,
                    gen_per_level=gen_per_level)
 
 
-def _attempt(problem, policy, t, on_node):
+def _attempt(problem, policy, t, budget_cap, on_node):
     """One run of the loop under the bound vector t (changed in place by
-    g1 and g2).  Returns (label or None, distance, n_c, gen_per_level,
-    budget_hit)."""
+    g1 and g2) that generates at most budget_cap nodes, the root included
+    (no limit when None).  Returns (label or None, distance, n_c,
+    gen_per_level, budget_hit)."""
     m = problem.m
+    n_c = 1
+    gen_per_level = [1] + [0] * m
+    if budget_cap is not None and budget_cap <= 1:  # the root spends it all
+        return None, INF, n_c, gen_per_level, True
     root = _Node((), 0, 0.0)
     if policy.sort in ("lifo", "fifo"):
         active = _Deque(root, policy.sort == "lifo")
@@ -448,9 +454,6 @@ def _attempt(problem, policy, t, on_node):
         raise ValueError(f"unknown sort rule {policy.sort!r}")
     strict = policy.strict
     g1_min = policy.g1 == "min"
-    budget_cap = policy.node_budget
-    n_c = 1
-    gen_per_level = [1] + [0] * m
     best_label = None
     best_g = INF
     budget_hit = False
@@ -500,12 +503,18 @@ def restart_schedule(problem, policy, on_node=None):
     leaf, until one finds a leaf, the node budget runs out, or doubling
     leaves the bounds unchanged (all infinite or zero).  Node counts and
     per-level counts add up over the attempts, so the per-level counts sum
-    to n_c.  Every attempt calls the one hook on_node, so it sees every
-    child of every attempt: n_c is their number plus one root per attempt."""
+    to n_c.  The node budget counts the nodes of all attempts together:
+    each attempt gets what the earlier ones left, so n_c never exceeds the
+    budget, and the search ends with budget_hit once n_c reaches it.  Every
+    attempt calls the one hook on_node, so it sees every child of every
+    attempt: n_c is their number plus one root per attempt."""
     t = _bounds_vector(policy, problem.m)
+    budget = policy.node_budget
     n_c, per_level, restarts = 0, [0] * (problem.m + 1), 0
     while True:
-        label, distance, n, levels, budget_hit = _attempt(problem, policy, list(t), on_node)
+        cap = None if budget is None else budget - n_c
+        label, distance, n, levels, budget_hit = _attempt(problem, policy, list(t), cap,
+                                                          on_node)
         n_c += n
         per_level = [a + b for a, b in zip(per_level, levels)]
         wider = [2.0 * v for v in t]

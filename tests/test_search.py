@@ -154,6 +154,23 @@ def test_restart_schedule_zero_radius_makes_one_attempt():
     assert err.value.node_generations == single.value.node_generations == len(trace) + 1
 
 
+def test_restart_schedule_budget_counts_every_attempt():
+    # the unbudgeted search takes 11 attempts and 15 nodes; a budget covers
+    # the nodes of all attempts together, so n_c never exceeds it, and a
+    # search that reaches it ends with budget_hit
+    from dataclasses import replace
+    _, prob = _random_problem(4, M=2, right="lll+permute")
+    free = restart_schedule(prob, policy_pohst(1e-3))
+    assert (free.node_generations, free.restarts, free.budget_hit) == (15, 10, False)
+    for budget in range(1, 20):
+        out = restart_schedule(prob, replace(policy_pohst(1e-3), node_budget=budget))
+        assert out.node_generations == min(budget, 15)
+        assert sum(out.gen_per_level) == out.node_generations
+        assert out.budget_hit == (budget <= 15)
+        if budget > 15:
+            assert (out.decoded_label, out.restarts) == (free.decoded_label, free.restarts)
+
+
 def test_budget_hit_flags_and_falls_back():
     from dataclasses import replace
     _, prob = _random_problem(5, M=4, rho_db=0.0)

@@ -216,6 +216,24 @@ def test_tiny_radius_sweep_restarts_until_a_leaf():
         assert sim.decode_frame(inst, problem, cfg.decoder).restarts > 64
 
 
+def test_node_budget_caps_the_whole_restart_schedule():
+    # without a budget these frames take about a thousand attempts and
+    # 1,006-1,021 nodes; a budget of 50 covers every attempt, so each ends
+    # after 50 nodes on the Babai fallback
+    dec = {"name": "pohst", "radius": 1e-300, "budget": 50}
+    cfg = sim.parse_config(_base_config(decoder=dec, trials=5, snr_grid_db=[10.0]))
+    ch = replace(cfg.channel, rho=10.0)
+    for frame in range(3):
+        inst = latdec.sample_vblast(ch, latdec.frame_rng(cfg.seed, 0, frame))
+        problem = cfg.preproc.plan(inst.H, inst.code).problem_for(inst.received)
+        res = sim.decode_frame(inst, problem, cfg.decoder)
+        assert (res.nc, res.restarts, res.budget_hit) == (50, 49, True)
+        babai = latdec.gbb_run(problem, latdec.policy_babai()).decoded_label
+        assert np.array_equal(res.info, latdec.apply_back_map(babai, problem.back_map))
+        free = sim.decode_frame(inst, problem, replace(cfg.decoder, budget=None))
+        assert free.nc > 1000 and not free.budget_hit
+
+
 def test_one_process_pool_per_sweep(monkeypatch):
     pools = []
 
