@@ -24,7 +24,8 @@ def qr_decompose(A):
         raise RankDeficient(f"need rows >= cols, got shape {A.shape}")
     Q, R = np.linalg.qr(A, mode="reduced")
     d = R.diagonal()
-    # the largest column norm, squared: max and sqrt commute exactly
+    # the largest column norm: sqrt is correctly rounded and monotone, so
+    # sqrt(max) is max(sqrt), the value np.linalg.norm(A, axis=0).max() gives
     scale = math.sqrt((A * A).sum(axis=0).max()) if A.shape[1] else 0.0
     if scale == 0.0 or np.abs(d).min() < QR_TOL * scale:
         raise RankDeficient("R diagonal below rank tolerance")

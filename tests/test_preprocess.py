@@ -335,6 +335,13 @@ def _oracle_plan_streams():
     yield lambda f: latdec.build_isi_instance(isi, latdec.frame_rng(45, f))
 
 
+def _qr_or_none(qr, A):
+    try:
+        return qr(A)
+    except RankDeficient:
+        return None
+
+
 def test_preprocessing_is_bit_identical_to_its_oracles(monkeypatch):
     from latdec import preprocess
     from reference import (greedy_order_outer, lll_reduce_scan, qr_decompose_signs,
@@ -346,11 +353,28 @@ def test_preprocessing_is_bit_identical_to_its_oracles(monkeypatch):
         red0, rec0 = lll_reduce_scan(B, delta=delta, deep=deep)
         _same_record(rec, rec0)
         assert np.array_equal(red, red0)
-        for A in (B, red):
-            with np.errstate(divide="ignore", invalid="ignore"):  # the 1e19 basis
+        with np.errstate(divide="ignore", invalid="ignore"):  # the 1e19 basis
+            for A in (B, red):
                 assert vblast_greedy_order(A) == greedy_order_outer(A)
+            if B.shape[1] <= 2:  # the permutation composed with Python-int records too
+                Q, R, r = right_preprocess(B, "lll+permute", delta, deep)
+                Q0, R0, r0 = right_preprocess_composed(B, "lll+permute", delta, deep)
+                assert np.array_equal(Q, Q0) and np.array_equal(R, R0)
+                _same_record(r, r0)
         bases += 1
     assert bases > 900
+    rng = np.random.default_rng(46)
+    rejected = 0
+    for _ in range(200):  # around the QR's rank threshold both must decide alike
+        A = rng.standard_normal((8, 6))
+        A[:, 5] = A[:, :5] @ rng.standard_normal(5) + 10.0 ** rng.uniform(-12, -8) * A[:, 5]
+        got, want = (_qr_or_none(qr, A) for qr in (qr_decompose, qr_decompose_signs))
+        assert (got is None) == (want is None)
+        if got is None:
+            rejected += 1
+        else:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert 0 < rejected < 200
     for frame in _oracle_plan_streams():
         for f in range(30):
             inst = frame(f)
