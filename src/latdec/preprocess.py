@@ -74,7 +74,10 @@ def vblast_greedy_order(A):
     (Benesty, Huang and Chen, IEEE TSP 2003): O(m^3) in all.  Each step
     reads the diagonal once as Python floats, picks among the remaining
     columns there, and downdates P with one outer product; the column left
-    last is detected first without a step.
+    last is detected first without a step.  A basis that is rank deficient
+    in floating point, even where |diag R| does not show it, raises
+    RankDeficient: some downdated diagonal entry of P is then not positive
+    and finite.
     """
     A = np.asarray(A, dtype=float)
     m = A.shape[1]
@@ -88,7 +91,11 @@ def vblast_greedy_order(A):
     perm = [0] * m
     for slot in range(m - 1, 0, -1):
         diag = P.diagonal().tolist()
-        gains = [1.0 / diag[j] for j in remaining]
+        rest = [diag[j] for j in remaining]
+        # each must be positive and finite: min catches <= 0, the sum inf and NaN
+        if not (min(rest) > 0.0 and sum(rest) < math.inf):
+            raise RankDeficient("ordering needs full column rank")
+        gains = [1.0 / v for v in rest]
         cut = max(gains) * (1.0 - ORDER_TIE_RTOL)
         best = [j for j, g in zip(remaining, gains) if g >= cut][-1]
         perm[slot] = best

@@ -25,8 +25,10 @@ Children come from one lazy generator per node (_Children) that yields the
 next-level coordinates in the policy's order, each with its level metric.
 The same generator serves gbb_run, the Fano decoder, se_child_order and
 child_interval.  The Fano decoder (fano_decode) walks one path, revisiting
-nodes as its threshold moves in multiples of the step size, and keeps one
-table entry per distinct node, whose generator a revisit reuses.
+nodes as its threshold moves in multiples of the step size, through a
+memoized node tree: each node entered keeps its generator and a memo of
+the children it has evaluated, which a revisit reads instead of
+evaluating them again.
 restart_schedule reruns the loop with every bound doubled while an attempt
 finds no leaf, with no cap: it stops at a leaf, when the attempts together
 spend the node budget, or when doubling leaves the bounds unchanged.  Every
@@ -533,11 +535,13 @@ def restart_schedule(problem, policy, on_node=None):
 def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_node=None):
     """Iterative best-first search with a running threshold.
 
-    Walks one path and keeps one table entry per distinct node: a revisit
-    reuses the node's child generator.  The threshold T moves in multiples
-    of `step`: it is tightened when a node is visited for the first time and
-    relaxed when neither a forward nor a backward move is possible.
-    Terminates at the first leaf whose cost is within T.
+    Walks one path through a memoized node tree: each node entered keeps
+    its child generator and a memo of (coord, g, f, child node) per child
+    rank, so each child is evaluated once per decode and a revisit reads
+    the memo.  The threshold T moves in multiples of `step`: it is
+    tightened when a node is visited for the first time and relaxed when
+    neither a forward nor a backward move is possible.  Terminates at the
+    first leaf whose cost is within T.
     """
     for name, value in (("bias", bias), ("step", step)):
         if not math.isfinite(value):
@@ -545,64 +549,69 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
     if step <= 0:
         raise ValueError("step must be positive")
     m = problem.m
-    b = bias
+    limit = INF if node_budget is None else node_budget
 
-    # per-level state along the current path; kids[k].rank is the rank of
-    # the level-k node's candidate child (the next path entry, when there is one)
-    path = []
-    gs = [0.0]
-    fs = [0.0]
-    kids = [_Children(problem, path)]
-    # (parent's generator, coord) -> the child's generator; None for the leaf
-    nodes = {}
-    t_mult = 0  # threshold T = t_mult * step: always an exact multiple
-    t_mult_max = 0
-    evals = 0
-    budget_hit = False
-    k = 0
+    # the nodes along the current path, each [generator, memo, rank]: memo[r] is
+    # (coord, g, f, child node or None until entered) for the rank-r child, or
+    # None once the order is exhausted; rank is that of the candidate child
+    path, gs, fs = [], [0.0], [0.0]
+    node = [_Children(problem, path), [], 0]
+    nodes = [node]
+    unique = 1  # the root and each distinct node entered
+    t_mult = t_mult_max = 0  # threshold T = t_mult * step: always an exact multiple
+    T = t_mult * step
+    evals = k = 0
 
-    while True:
-        if node_budget is not None and evals >= node_budget:
-            budget_hit = True
-            break
-        T = t_mult * step
-        got = kids[k].peek(INF, True)
+    while evals < limit:
+        kids, memo, rank = node
+        if rank < len(memo):
+            entry = memo[rank]
+        else:  # each (node, rank) is evaluated once
+            got = kids.peek(INF, True)
+            kids.rank += 1
+            if got is None:
+                entry = None
+            else:
+                g = gs[k] + got[1]
+                entry = (got[0], g, g - bias * (k + 1), None)
+            memo.append(entry)
         evals += 1
-        if got is None:
-            f_cand = INF
-        else:
-            coord, w = got
-            g_cand = gs[k] + w
-            f_cand = g_cand - b * (k + 1)
-        if f_cand <= T:
+        if entry is not None and entry[2] <= T:
+            coord, g, f, child = entry
             path.append(coord)
-            gs.append(g_cand)
-            fs.append(f_cand)
+            gs.append(g)
+            fs.append(f)
             k += 1
             if on_node is not None:
-                on_node((k, tuple(path), g_cand, f_cand, T))
+                on_node((k, tuple(path), g, f, T))
             if k == m:
-                nodes[kids[-1], coord] = None
+                unique += 1
                 break
             if fs[k - 1] > T - step:  # first visit: pull T down as far as allowed
-                while fs[k] <= (t_mult - 1) * step:
+                while f <= (t_mult - 1) * step:
                     t_mult -= 1
-            child = nodes.get((kids[-1], coord))
+                    T = t_mult * step
             if child is None:
-                child = nodes[kids[-1], coord] = _Children(problem, path)
-            child.rank = 0
-            kids.append(child)
+                child = [_Children(problem, path), [], 0]
+                memo[rank] = (coord, g, f, child)
+                unique += 1
+            child[2] = 0
+            node = child
+            nodes.append(node)
         elif k == 0 or fs[k - 1] > T:
             t_mult += 1  # cannot move back: relax and look forward again
             t_mult_max = max(t_mult_max, t_mult)
-            kids[k].rank = 0
+            T = t_mult * step
+            node[2] = 0
         else:
             path.pop()  # move back, try the next-best sibling
             gs.pop()
             fs.pop()
-            kids.pop()
+            nodes.pop()
             k -= 1
-            kids[k].rank += 1
+            node = nodes[k]
+            node[2] += 1
 
+    budget_hit = k < m  # the walk ends at a leaf unless the budget runs out first
     return _finish(problem, "fano", None if budget_hit else tuple(path), gs[-1], evals,
-                   budget_hit, unique=1 + len(nodes), max_threshold=t_mult_max * step)
+                   budget_hit, unique=unique, max_threshold=t_mult_max * step)

@@ -157,6 +157,18 @@ def test_greedy_order_rejects_rank_deficient():
             vblast_greedy_order(A)
 
 
+def test_greedy_order_rejects_a_basis_whose_diag_r_hides_the_rank_loss():
+    # |diag R| = 1, 1, 0.1, but the downdated diagonal of P cancels to 0;
+    # LLL reduces the basis first, so "lll+permute" orders it
+    A = np.array([[1.0, 1e19, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.1]])
+    for call in (lambda: vblast_greedy_order(A), lambda: right_preprocess(A, "permute")):
+        with pytest.raises(RankDeficient):
+            call()
+    Q, R, rec = right_preprocess(A, "lll+permute")
+    assert rec.verify()
+    assert np.array_equal(np.abs(R), np.diag([0.1, 1.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # tree forming and the back map
 

@@ -411,20 +411,61 @@ def _vblast_problems(n, M, Q, rho_db, right, boundary):
     lambda: _vblast_problems(100, 4, 4, 14.0, "permute", "constrained"),
 ], ids=["isi", "v8-lattice", "v4q4-constrained"])
 def test_fano_matches_the_visited_set_reference(family):
-    # the node table changes no outcome field and no trace tuple; with the
-    # budget of 50 some frames end on the Babai fallback
+    # the memoized node tree changes no outcome field and no trace tuple.
+    # (1, 0.25) revisits heavily; with the budget of 50 some frames end on
+    # the Babai fallback.  A budget equal to a frame's unbudgeted n_c reaches
+    # the leaf on its last evaluation, which is not a budget hit; one less is.
+    def same(prob, bias, step, budget):
+        got, want = [], []
+        out = fano_decode(prob, bias, step, budget, on_node=got.append)
+        ref = fano_decode_visited(prob, bias, step, budget, on_node=want.append)
+        assert vars(out) == vars(ref)
+        assert got == want
+        return out
+
     problems = list(family())
     hits = 0
     for bias, step, budget in [(1.0, 1.0, None), (0.5, 0.25, None), (2.0, 3.0, None),
-                               (1.0, 1.0, 50)]:
+                               (1.0, 0.25, None), (1.0, 1.0, 50)]:
         for prob in problems:
-            got, want = [], []
-            out = fano_decode(prob, bias, step, budget, on_node=got.append)
-            ref = fano_decode_visited(prob, bias, step, budget, on_node=want.append)
-            assert vars(out) == vars(ref)
-            assert got == want
-            hits += out.budget_hit
+            hits += same(prob, bias, step, budget).budget_hit
     assert hits > 0
+    for prob in problems:
+        n_c = fano_decode(prob).node_generations
+        assert not same(prob, 1.0, 1.0, n_c).budget_hit
+        assert same(prob, 1.0, 1.0, n_c - 1).budget_hit
+
+
+def test_fano_evaluates_each_child_once_per_decode(monkeypatch):
+    # pins the memo itself, which the bit-identity tests cannot see: on ISI
+    # frames with revisits, peek runs at most once per (generator, rank), and
+    # one generator is built per distinct non-leaf node entered, the root too
+    from latdec import search
+
+    init, peek = search._Children.__init__, search._Children.peek
+    built, peeked = [], []
+
+    def counting_init(self, problem, label, *args):
+        built.append(tuple(label))
+        init(self, problem, label, *args)
+
+    def counting_peek(self, rem, strict):
+        peeked.append((self, self.rank))
+        return peek(self, rem, strict)
+
+    monkeypatch.setattr(search._Children, "__init__", counting_init)
+    monkeypatch.setattr(search._Children, "peek", counting_peek)
+    revisits = 0
+    for prob in _isi_problems(100):
+        built.clear()
+        peeked.clear()
+        trace = []
+        out = fano_decode(prob, 1.0, 0.25, on_node=trace.append)
+        assert len(set(peeked)) == len(peeked)
+        entered = {label for _, label, *_ in trace if len(label) < prob.m}
+        assert sorted(built) == sorted(entered | {()})
+        revisits += out.node_generations - len(peeked)
+    assert revisits > 1000
 
 
 def test_monotone_bias_endpoints():
