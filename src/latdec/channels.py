@@ -95,9 +95,6 @@ class ChannelInstance:
     received: np.ndarray
     info_len: int | None = None  # symbols carrying information (BER); None = all
 
-    def transmitted(self):
-        return self.code.generator @ self.x_true + self.code.translate
-
     def to_json(self):
         rec = {
             "H": self.H.tolist(),
@@ -130,6 +127,9 @@ class ChannelInstance:
         H = _record_array(rec, "H", 2)
         x_true = _record_array(rec, "x_true", 1)
         received = _record_array(rec, "received", 1)
+        if H.shape[1] != code.dim:
+            raise ConfigError(f"instance field 'H' has {H.shape[1]} columns, "
+                              f"not the code dimension {code.dim}")
         if len(x_true) != code.dim:
             raise ConfigError(f"instance field 'x_true' has {len(x_true)} entries, "
                               f"not the code dimension {code.dim}")
@@ -142,14 +142,14 @@ class ChannelInstance:
                    info_len=rec.get("info_len"))
 
 
-def _record_array(rec, key, ndim):
+def _record_array(rec, key, ndim, section="instance"):
     """rec[key] as an ndim-dimensional float array; else ConfigError naming key."""
     try:
         arr = np.asarray(rec[key], dtype=float)
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.ndim != ndim:
-        raise ConfigError(f"instance field {key!r} must be a {ndim}-dimensional numeric array")
+        raise ConfigError(f"{section} field {key!r} must be a {ndim}-dimensional numeric array")
     return arr
 
 

@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import sim
-from .channels import ChannelInstance
+from .channels import ChannelInstance, _record_array
 from .errors import ConfigError
 from .lattice import lll_reduce
 from .search import trace_lines
@@ -114,8 +114,10 @@ def cmd_decode(args):
 
 
 def cmd_reduce(args):
-    rec = _load_json(args.basis)
-    B = np.asarray(rec["basis"], dtype=float)
+    rec = _fields("basis record", _load_json(args.basis), ("basis",))
+    B = _record_array(rec, "basis", 2, section="basis record")
+    if not np.isfinite(B).all():
+        raise ConfigError("basis record field 'basis' must hold finite numbers")
     reduced, record = lll_reduce(B, delta=args.delta, deep=args.deep)
     print(json.dumps({
         "reduced": reduced.tolist(),

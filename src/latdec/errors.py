@@ -9,10 +9,6 @@ class RankDeficient(LatdecError):
     """Matrix does not have full (numerical) column rank."""
 
 
-class SingularDiagonal(LatdecError):
-    """Triangular matrix has a zero diagonal entry."""
-
-
 class DimensionMismatch(LatdecError):
     """Operands have incompatible shapes."""
 
@@ -39,7 +35,3 @@ class RankDeficientCode(LatdecError):
 
 class ConfigError(LatdecError):
     """Experiment configuration is malformed; message names the offending field."""
-
-
-class AlignmentError(LatdecError):
-    """Reports cannot be joined because their SNR grids differ."""

@@ -1,12 +1,11 @@
-"""Lattice codes and basis manipulation: Construction A, LLL, HNF, sparsity index.
+"""Lattice codes and basis manipulation: Construction A and LLL.
 
 Unimodular bookkeeping is exact.  Records hold int64 entries when every
 entry fits and arbitrary-precision Python ints (numpy object arrays)
 otherwise; LLL accumulates them in Python ints, and a product of records
-(composition, verification, back-mapping a label) runs in int64 only when
-no sum can overflow.  So T @ T_inv == I holds exactly and the reduced basis
-generates the same integer lattice as the input.  HNF works in Python ints
-throughout.
+(verification, back-mapping a label) runs in int64 only when no sum can
+overflow.  So T @ T_inv == I holds exactly and the reduced basis
+generates the same integer lattice as the input.
 """
 
 import math
@@ -14,62 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient, SingularDiagonal
+from .errors import DimensionMismatch
 from .linalg import qr_decompose
 
 _INT64_SAFE = 2.0 ** 62  # int64 holds 2**63 - 1; results bounded by half that are safe
-
-
-def _int_matrix(M):
-    """Copy into an object-dtype array of Python ints; rejects non-integers."""
-    M = np.asarray(M)
-    out = np.empty(M.shape, dtype=object)
-    flat_in, flat_out = M.reshape(-1), out.reshape(-1)
-    for i, v in enumerate(flat_in):
-        iv = int(v)
-        if iv != v:
-            raise DimensionMismatch(f"non-integer entry {v!r}")
-        flat_out[i] = iv
-    return out
-
-
-def _int_eye(n):
-    out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        out[i, i] = 1
-    return out
-
-
-def int_det(M):
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    A = [[int(v) for v in row] for row in np.asarray(M, dtype=object)]
-    n = len(A)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for r in range(k + 1, n):
-                if A[r][k] != 0:
-                    A[k], A[r] = A[r], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-def is_unimodular(T):
-    """True iff the integer matrix has determinant +-1."""
-    T = np.asarray(T)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        return False
-    return abs(int_det(T)) == 1
 
 
 def _int_array(rows):
@@ -110,11 +57,6 @@ class UnimodularRecord:
     def identity(cls, n):
         return cls(np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64))
 
-    def compose_left(self, other):
-        """Record for applying `self` after `other`: total T = self.T @ other.T."""
-        return UnimodularRecord(_exact_matmul(self.T, other.T),
-                                _exact_matmul(other.T_inv, self.T_inv))
-
     def verify(self):
         n = self.T.shape[0]
         return bool(np.array_equal(_exact_matmul(self.T, self.T_inv), np.eye(n, dtype=np.int64)))
@@ -144,14 +86,6 @@ class InfoSet:
             raise ValueError("hypercube info set needs q >= 2")
         if self.kind == "explicit" and self.labels is None:
             raise ValueError("explicit info set needs a label array")
-
-    def contains(self, x):
-        x = np.asarray(x)
-        if self.kind == "unconstrained":
-            return True
-        if self.kind == "hypercube":
-            return bool(np.all(x >= 0) and np.all(x < self.q))
-        return any(np.array_equal(x, row) for row in self.labels)
 
     def size(self, dim):
         if self.kind == "hypercube":
@@ -204,22 +138,6 @@ def construction_a(P, q):
     G[k:, :k] = P
     G[k:, k:] = q * np.eye(r, dtype=int)
     return G
-
-
-def sparsity_index(R):
-    """Max over rows of off-diagonal row energy divided by the squared diagonal."""
-    R = np.asarray(R, dtype=float)
-    n = R.shape[0]
-    if R.shape != (n, n):
-        raise DimensionMismatch("R must be square")
-    d = np.diag(R)
-    if np.any(d == 0.0):
-        raise SingularDiagonal("zero diagonal entry")
-    worst = 0.0
-    for i in range(n):
-        off = R[i, i + 1:]
-        worst = max(worst, float(off @ off) / float(d[i] * d[i]))
-    return worst
 
 
 def lll_reduce(B, delta=0.99, deep=False):
@@ -318,54 +236,3 @@ def lll_reduce(B, delta=0.99, deep=False):
     if not record.verify():
         raise ArithmeticError("LLL records are not inverse to each other")
     return B @ record.T_inv.astype(float), record
-
-
-def hnf_transform(A):
-    """Column-reduce an integer matrix to upper-triangular form with a
-    dominant diagonal: A == R @ T with T unimodular and
-    r[i,i] > r[i,j] >= 0 for j > i.  Exact integer arithmetic throughout.
-    """
-    A = _int_matrix(A)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise DimensionMismatch("A must be square")
-    R = A.copy()
-    T = _int_eye(n)       # R @ T == A
-    Tinv = _int_eye(n)    # A @ Tinv == R
-
-    def col_op(dst, src, q):
-        # column dst -= q * column src, mirrored on the records
-        R[:, dst] -= q * R[:, src]
-        Tinv[:, dst] -= q * Tinv[:, src]
-        T[src, :] += q * T[dst, :]
-
-    def col_swap(a, b):
-        R[:, [a, b]] = R[:, [b, a]]
-        Tinv[:, [a, b]] = Tinv[:, [b, a]]
-        T[[a, b], :] = T[[b, a], :]
-
-    for i in range(n - 1, -1, -1):
-        # Euclidean elimination of entries left of the diagonal in row i.
-        while True:
-            nz = [j for j in range(i) if R[i, j] != 0]
-            if not nz:
-                break
-            j = min(nz + [i], key=lambda c: abs(R[i, c]) if R[i, c] != 0 else 1 << 62)
-            if j != i:
-                col_swap(i, j)
-            for c in range(i):
-                if R[i, c] != 0:
-                    col_op(c, i, R[i, c] // R[i, i])
-        if R[i, i] == 0:
-            raise RankDeficient("zero diagonal during HNF reduction")
-        if R[i, i] < 0:
-            R[:, i] = -R[:, i]
-            Tinv[:, i] = -Tinv[:, i]
-            T[i, :] = -T[i, :]
-    # Normalize entries right of each diagonal into [0, r_ii).
-    for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            q = R[i, j] // R[i, i]
-            if q != 0:
-                col_op(j, i, q)
-    return R.astype(object), UnimodularRecord(T=T, T_inv=Tinv)

@@ -1,4 +1,4 @@
-"""Dense real linear algebra primitives: QR, triangular solves, complex embedding.
+"""Dense real linear algebra primitives: QR and the complex-to-real embedding.
 
 Matrices are plain numpy arrays (float64, row-major); complex inputs are
 numpy complex128 arrays.  All functions are pure.
@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .errors import RankDeficient, SingularDiagonal
+from .errors import RankDeficient
 
 QR_TOL = 1e-10  # relative rank threshold on the R diagonal
 
@@ -33,28 +33,7 @@ def qr_decompose(A):
     return Q * signs, R * signs[:, np.newaxis]
 
 
-def back_substitute(R, y):
-    """Solve R x = y for square upper-triangular R."""
-    R = np.asarray(R, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = R.shape[0]
-    if R.shape != (n, n) or y.shape != (n,):
-        raise SingularDiagonal(f"incompatible shapes {R.shape}, {y.shape}")
-    if np.any(np.diag(R) == 0.0):
-        raise SingularDiagonal("zero entry on the diagonal")
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - R[i, i + 1:] @ x[i + 1:]) / R[i, i]
-    return x
-
-
 def complex_to_real_matrix(M):
     """Embed a complex matrix as the 2x2-block real matrix [[Re,-Im],[Im,Re]]."""
     M = np.asarray(M, dtype=complex)
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
-
-
-def complex_to_real_vector(u):
-    """Stack real over imaginary parts: u -> [Re(u); Im(u)]."""
-    u = np.asarray(u, dtype=complex)
-    return np.concatenate([u.real, u.imag])

@@ -181,20 +181,6 @@ class TreeProblem:
             self.lev_rows = level_rows(self.R)
         self.lev_y = tuple(np.asarray(self.y, dtype=float)[::-1].tolist())
 
-    def path_metric(self, label):
-        """Total squared distance accumulated by a (partial) label."""
-        return sum(node_metric(self, label[: k + 1]) for k in range(len(label)))
-
-
-def node_metric(problem, label):
-    """Squared level-k residual of the partial label (x_1 .. x_k)."""
-    k = len(label)
-    row = problem.lev_rows[k - 1]
-    s = problem.lev_y[k - 1]
-    for j in range(k):
-        s -= row[j] * label[j]
-    return s * s
-
 
 @dataclass
 class TreePlan:

@@ -23,12 +23,11 @@ SearchPolicy bundle of:
 
 Children come from one lazy generator per node (_Children) that yields the
 next-level coordinates in the policy's order, each with its level metric.
-The same generator serves gbb_run, the Fano decoder, se_child_order and
-child_interval.  The Fano decoder (fano_decode) walks one path, revisiting
-nodes as its threshold moves in multiples of the step size, through a
-memoized node tree: each node entered keeps its generator and a memo of
-the children it has evaluated, which a revisit reads instead of
-evaluating them again.
+The same generator serves gbb_run and the Fano decoder.  The Fano decoder
+(fano_decode) walks one path, revisiting nodes as its threshold moves in
+multiples of the step size, through a memoized node tree: each node
+entered keeps its generator and a memo of the children it has evaluated,
+which a revisit reads instead of evaluating them again.
 restart_schedule reruns the loop with every bound doubled while an attempt
 finds no leaf, with no cap: it stops at a leaf, when the attempts together
 spend the node budget, or when doubling leaves the bounds unchanged.  Every
@@ -151,37 +150,6 @@ class _Children:
             if self.zigzag:
                 return None  # ordered by w: nothing further fits either
             rank = self.rank = rank + 1  # vb: skip the coordinate that no longer fits
-
-
-def child_interval(problem, parent_label, budget):
-    """Admissible integer interval for the next label symbol.
-
-    Returns (a0, a1) with a0 > a1 when the remaining budget is exhausted,
-    or None when the budget is infinite (the interval is unbounded and the
-    caller should use zigzag generation instead).  The interval is clipped
-    to {0..Q-1} when the problem is constrained.
-    """
-    if budget == INF:
-        return None
-    parent_label = tuple(parent_label)
-    order = _Children(problem, parent_label, "vb",
-                      budget - problem.path_metric(parent_label)).order
-    return order.start, order.stop - 1
-
-
-def se_child_order(problem, parent_label, count=None):
-    """Child coordinates of a node in nondecreasing metric order.
-
-    Yields (coord, w) pairs following the zigzag rule; for unconstrained
-    problems the stream is infinite unless `count` limits it.
-    """
-    kids = _Children(problem, tuple(parent_label))
-    while count is None or kids.rank < count:
-        got = kids.peek(INF, True)
-        if got is None:
-            return
-        kids.rank += 1
-        yield got
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import channels, oracle, search
-from .errors import AlignmentError, ConfigError, DimensionMismatch, RankDeficientCode
+from .errors import ConfigError, DimensionMismatch, RankDeficientCode
 from .preprocess import apply_back_map, prepare_tree
 
 CHUNK = 512  # stopping-rule granularity (fixed: determinism across workers)
@@ -310,16 +310,6 @@ def wilson_ci(k, n, z=1.959963984540054):
     center = (p + z * z / (2 * n)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
     return (max(0.0, center - half), min(1.0, center + half))
-
-
-def sign_test_p(wins, total):
-    """One-sided exact sign test: P[Binomial(total, 1/2) >= wins]."""
-    if total == 0:
-        return 1.0
-    acc = 0
-    for i in range(wins, total + 1):
-        acc += math.comb(total, i)
-    return acc / 2.0**total
 
 
 # ---------------------------------------------------------------------------
@@ -616,17 +606,3 @@ def run_sweep(cfg: ExperimentConfig, workers=1, collect_frames=False, dump_failu
     """SNR sweep of a single experiment config; see compare_decoders."""
     return compare_decoders([cfg], workers=workers, collect_frames=collect_frames,
                             dump_failures=dump_failures)[0]
-
-
-def gamma_ratio(report_a: SweepReport, report_b: SweepReport):
-    """Per-SNR ratio of mean node generations between two reports."""
-    snrs_a = [p.snr_db for p in report_a.points]
-    snrs_b = [p.snr_db for p in report_b.points]
-    if snrs_a != snrs_b:
-        raise AlignmentError(f"SNR grids differ: {snrs_a} vs {snrs_b}")
-    out = {}
-    for pa, pb in zip(report_a.points, report_b.points):
-        mean_a = np.mean(pa.nc_values) if pa.nc_values else float("nan")
-        mean_b = np.mean(pb.nc_values) if pb.nc_values else float("nan")
-        out[pa.snr_db] = float(mean_a / mean_b)
-    return out

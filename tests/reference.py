@@ -15,17 +15,44 @@ sign and norm bookkeeping in separate numpy calls, the effective LLL
 loop whose adjacent step goes through the general insertion scan, the
 greedy ordering with array gains and np.outer downdates, and the
 permutation record composed by integer matrix products.
+
+The exact checks work in Python ints: the Bareiss determinant, the
+unimodularity test, the Hermite normal form with its unimodular record
+and the composition of two records.  The closest-point oracles enumerate
+directly, without the branch-and-bound engine: a box certified to hold the
+closest point with the exhaustive search over it, and the exact node set
+of a Pohst or maximum-cost condition.  The sparsity index of R and a
+triangular back substitution complete them.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from latdec.errors import RankDeficient
-from latdec.lattice import UnimodularRecord, _int_array
+from latdec.errors import DimensionMismatch, LatdecError, RankDeficient, TooLarge
+from latdec.lattice import UnimodularRecord, _exact_matmul, _int_array
 from latdec.linalg import QR_TOL
+from latdec.oracle import ENUM_CHUNK, ENUM_GUARD
 from latdec.preprocess import ORDER_TIE_RTOL, RIGHT_MODES
 from latdec.search import _finish
+
+
+class SingularDiagonal(LatdecError):
+    """Triangular matrix has a zero diagonal entry."""
+
+
+def _int_matrix(M):
+    """Copy into an object-dtype array of Python ints; rejects non-integers."""
+    M = np.asarray(M)
+    out = np.empty(M.shape, dtype=object)
+    flat_in, flat_out = M.reshape(-1), out.reshape(-1)
+    for i, v in enumerate(flat_in):
+        iv = int(v)
+        if iv != v:
+            raise DimensionMismatch(f"non-integer entry {v!r}")
+        flat_out[i] = iv
+    return out
 
 
 def _int_eye(n):
@@ -33,6 +60,125 @@ def _int_eye(n):
     for i in range(n):
         out[i, i] = 1
     return out
+
+
+def int_det(M):
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    A = [[int(v) for v in row] for row in np.asarray(M, dtype=object)]
+    n = len(A)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for r in range(k + 1, n):
+                if A[r][k] != 0:
+                    A[k], A[r] = A[r], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+def is_unimodular(T):
+    """True iff the integer matrix has determinant +-1."""
+    T = np.asarray(T)
+    if T.ndim != 2 or T.shape[0] != T.shape[1]:
+        return False
+    return abs(int_det(T)) == 1
+
+
+def compose_left(a, b):
+    """Record for applying `a` after `b`: total T = a.T @ b.T."""
+    return UnimodularRecord(_exact_matmul(a.T, b.T), _exact_matmul(b.T_inv, a.T_inv))
+
+
+def hnf_transform(A):
+    """Column-reduce an integer matrix to upper-triangular form with a
+    dominant diagonal: A == R @ T with T unimodular and
+    r[i,i] > r[i,j] >= 0 for j > i.  Exact integer arithmetic throughout.
+    """
+    A = _int_matrix(A)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise DimensionMismatch("A must be square")
+    R = A.copy()
+    T = _int_eye(n)       # R @ T == A
+    Tinv = _int_eye(n)    # A @ Tinv == R
+
+    def col_op(dst, src, q):
+        # column dst -= q * column src, mirrored on the records
+        R[:, dst] -= q * R[:, src]
+        Tinv[:, dst] -= q * Tinv[:, src]
+        T[src, :] += q * T[dst, :]
+
+    def col_swap(a, b):
+        R[:, [a, b]] = R[:, [b, a]]
+        Tinv[:, [a, b]] = Tinv[:, [b, a]]
+        T[[a, b], :] = T[[b, a], :]
+
+    for i in range(n - 1, -1, -1):
+        # Euclidean elimination of entries left of the diagonal in row i.
+        while True:
+            nz = [j for j in range(i) if R[i, j] != 0]
+            if not nz:
+                break
+            j = min(nz + [i], key=lambda c: abs(R[i, c]) if R[i, c] != 0 else 1 << 62)
+            if j != i:
+                col_swap(i, j)
+            for c in range(i):
+                if R[i, c] != 0:
+                    col_op(c, i, R[i, c] // R[i, i])
+        if R[i, i] == 0:
+            raise RankDeficient("zero diagonal during HNF reduction")
+        if R[i, i] < 0:
+            R[:, i] = -R[:, i]
+            Tinv[:, i] = -Tinv[:, i]
+            T[i, :] = -T[i, :]
+    # Normalize entries right of each diagonal into [0, r_ii).
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            q = R[i, j] // R[i, i]
+            if q != 0:
+                col_op(j, i, q)
+    return R.astype(object), UnimodularRecord(T=T, T_inv=Tinv)
+
+
+def sparsity_index(R):
+    """Max over rows of off-diagonal row energy divided by the squared diagonal."""
+    R = np.asarray(R, dtype=float)
+    n = R.shape[0]
+    if R.shape != (n, n):
+        raise DimensionMismatch("R must be square")
+    d = np.diag(R)
+    if np.any(d == 0.0):
+        raise SingularDiagonal("zero diagonal entry")
+    worst = 0.0
+    for i in range(n):
+        off = R[i, i + 1:]
+        worst = max(worst, float(off @ off) / float(d[i] * d[i]))
+    return worst
+
+
+def back_substitute(R, y):
+    """Solve R x = y for square upper-triangular R."""
+    R = np.asarray(R, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = R.shape[0]
+    if R.shape != (n, n) or y.shape != (n,):
+        raise SingularDiagonal(f"incompatible shapes {R.shape}, {y.shape}")
+    if np.any(np.diag(R) == 0.0):
+        raise SingularDiagonal("zero entry on the diagonal")
+    x = np.empty(n)
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - R[i, i + 1:] @ x[i + 1:]) / R[i, i]
+    return x
 
 
 def gso(B):
@@ -281,7 +427,7 @@ def right_preprocess_composed(A, mode="none", lll_delta=0.99, lll_deep=False):
     if mode in ("permute", "lll+permute"):
         perm = greedy_order_outer(work)
         work = work[:, perm]
-        record = perm_record(perm).compose_left(record)
+        record = compose_left(perm_record(perm), record)
     if work.shape[0] == m and np.all(np.diag(work) > 0) \
             and not np.tril(work, -1).any():
         Q, R = np.eye(m), work
@@ -430,3 +576,139 @@ def fano_decode_visited(problem, bias=1.0, step=1.0, node_budget=None, on_node=N
 
     return _finish(problem, "fano", None if budget_hit else tuple(path), gs[-1], evals,
                    budget_hit, unique=1 + len(visited), max_threshold=t_mult_max * step)
+
+
+@dataclass
+class OracleBox:
+    """Integer search box in level order: center +- radius per coordinate."""
+
+    center: np.ndarray
+    radius: np.ndarray
+
+
+def babai_box(problem):
+    """Box certified to contain the closest lattice point.
+
+    Any point at least as close as the successive-rounding point z_B
+    satisfies |z_i - z*_i| <= ||row_i(R^-1)|| * d_B around the real
+    least-squares solution z*, which gives a per-coordinate radius.
+    """
+    R = problem.R
+    y = problem.y
+    m = problem.m
+    # successive rounding in level order (bottom row first)
+    z_babai = []
+    for k in range(m):
+        row = problem.lev_rows[k]
+        resid = problem.lev_y[k]
+        for j in range(k):
+            resid -= row[j] * z_babai[j]
+        z_babai.append(math.floor(resid / row[k] + 0.5))
+    z_phys = np.array(z_babai[::-1], dtype=float)
+    d_babai = float(np.linalg.norm(y - R @ z_phys))
+    Rinv = np.linalg.inv(R)
+    z_star = Rinv @ y
+    center_phys = np.floor(z_star + 0.5).astype(int)
+    row_norms = np.linalg.norm(Rinv, axis=1)
+    radius_phys = np.floor(row_norms * d_babai + 0.5 + 1e-12).astype(int)
+    return OracleBox(center=center_phys[::-1].copy(), radius=radius_phys[::-1].copy())
+
+
+def box_clps(problem, box):
+    """Exact closest point over the box by direct enumeration.
+
+    For constrained problems the box is clipped to {0..Q-1}.  Returns
+    (label, distance) with lexicographic tie resolution.
+    """
+    lo = box.center - box.radius
+    hi = box.center + box.radius
+    if problem.boundary_q is not None:
+        lo = np.maximum(lo, 0)
+        hi = np.minimum(hi, problem.boundary_q - 1)
+    widths = np.maximum(hi - lo + 1, 0)
+    total = int(np.prod(widths.astype(object)))
+    if total > ENUM_GUARD:
+        raise TooLarge(f"box volume {total} exceeds guard {ENUM_GUARD}")
+    if total == 0:
+        raise TooLarge("empty box")
+    R = problem.R
+    y = problem.y
+    best_d = math.inf
+    best_label = None
+    weights = np.concatenate([np.cumprod(widths[::-1])[::-1][1:], [1]]).astype(np.int64)
+    for start in range(0, total, ENUM_CHUNK):
+        idx = np.arange(start, min(start + ENUM_CHUNK, total), dtype=np.int64)
+        Z = lo[None, :] + (idx[:, None] // weights[None, :]) % widths[None, :]
+        Zphys = Z[:, ::-1]
+        diff = y[None, :] - Zphys @ R.T
+        dists = np.einsum("ij,ij->i", diff, diff)
+        i = int(np.argmin(dists))
+        if dists[i] < best_d:
+            best_d = float(dists[i])
+            best_label = tuple(int(v) for v in Z[i])
+    return best_label, best_d
+
+
+@dataclass
+class PohstBudget:
+    """Node condition: every prefix path metric stays <= C0."""
+
+    C0: float
+
+
+@dataclass
+class MaxCost:
+    """Node condition: max over prefixes of (path metric - b*level) < delta."""
+
+    b: float
+    delta: float
+
+
+def enumerate_node_set(problem, condition, guard=ENUM_GUARD):
+    """Exact set of node labels (levels 1..m) satisfying the condition.
+
+    Direct recursive enumeration; the prefix structure of both conditions
+    makes children of failing nodes fail too, so the recursion only visits
+    members.  Raises TooLarge past `guard` nodes.
+    """
+    m = problem.m
+    q = problem.boundary_q
+    out = set()
+
+    def allowed(level, cum):
+        # remaining metric budget for the child at `level` (1-based)
+        if isinstance(condition, PohstBudget):
+            return condition.C0 - cum, False
+        return condition.delta + condition.b * level - cum, True
+
+    def recurse(label, cum):
+        k = len(label)
+        if k == m:
+            return
+        rem, strict = allowed(k + 1, cum)
+        if rem < 0 or (strict and rem <= 0):
+            return
+        row = problem.lev_rows[k]
+        resid = problem.lev_y[k]
+        for j in range(k):
+            resid -= row[j] * label[j]
+        diag = row[k]
+        s = math.sqrt(rem)
+        lo = math.ceil((resid - s) / diag)
+        hi = math.floor((resid + s) / diag)
+        if q is not None:
+            lo = max(lo, 0)
+            hi = min(hi, q - 1)
+        for x in range(lo, hi + 1):
+            d = resid - diag * x
+            w = d * d
+            if (w >= rem) if strict else (w > rem):
+                continue
+            child = label + (x,)
+            out.add(child)
+            if len(out) > guard:
+                raise TooLarge(f"node set exceeds guard {guard}")
+            recurse(child, cum + w)
+
+    recurse((), 0.0)
+    return out

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from reference import MaxCost, enumerate_node_set
+from util import path_metric, sign_test_p
 
 import latdec
 from latdec import oracle, sim
@@ -95,10 +97,10 @@ def test_criterion_3_stack_subset_of_ir():
             trace = []
             st = latdec.gbb_run(prob, latdec.policy_stack(b), on_node=trace.append)
             generated = {t[1] for t in trace}
-            delta = max(prob.path_metric(st.decoded_label[: j + 1]) - b * (j + 1)
+            delta = max(path_metric(prob, st.decoded_label[: j + 1]) - b * (j + 1)
                         for j in range(prob.m)) + 1e-9
             try:
-                ir_set = oracle.enumerate_node_set(prob, oracle.MaxCost(b, delta))
+                ir_set = enumerate_node_set(prob, MaxCost(b, delta))
             except TooLarge:
                 continue
             checked += 1
@@ -125,7 +127,7 @@ def test_criterion_4_fano_stack_agreement():
             same += 1
         else:
             def max_h(label):
-                return max(prob.path_metric(label[: j + 1]) - b * (j + 1)
+                return max(path_metric(prob, label[: j + 1]) - b * (j + 1)
                            for j in range(prob.m))
             if abs(max_h(fa.decoded_label) - max_h(st.decoded_label)) < 10 * step:
                 near_tie_discrepancies += 1
@@ -235,7 +237,7 @@ def test_criterion_9_preprocessing_benefit():
     assert nc_m.mean() < nc_z.mean()
     wins = int(np.sum(nc_m < nc_z))
     ties = int(np.sum(nc_m == nc_z))
-    p = sim.sign_test_p(wins, len(nc_m) - ties)
+    p = sign_test_p(wins, len(nc_m) - ties)
     assert p < 0.01
     pm, pz = rm.points[0], rz.points[0]
     lo_m, hi_m = sim.wilson_ci(pm.frame_errors, pm.trials)

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from util import transmitted
 
 import latdec
 from latdec import channels
@@ -14,7 +15,7 @@ def test_qpsk_symbols_are_plus_minus_kappa():
     # the unit-energy complex constellation scaled by sqrt(2))
     cfg = latdec.VblastConfig(M=2, N=2, Q=2)
     inst = latdec.sample_vblast(cfg, latdec.frame_rng(0, 0))
-    s = inst.transmitted()
+    s = transmitted(inst)
     assert np.allclose(np.abs(s), 1.0)
     assert channels.pam_scale(2) == pytest.approx(1.0)
 
@@ -22,7 +23,7 @@ def test_qpsk_symbols_are_plus_minus_kappa():
 def test_noiseless_received_is_exact():
     cfg = latdec.VblastConfig(M=1, N=1, Q=4)
     inst = latdec.sample_vblast(cfg, latdec.frame_rng(1, 0), noiseless=True)
-    assert np.allclose(inst.received, inst.H @ inst.transmitted())
+    assert np.allclose(inst.received, inst.H @ transmitted(inst))
 
 
 def test_fixed_seed_replays_identically():
@@ -45,7 +46,7 @@ def test_symbol_energy_and_receive_snr():
     frames = 12500
     for i in range(frames):
         inst = latdec.sample_vblast(cfg, latdec.frame_rng(2, i), noiseless=True)
-        s = inst.transmitted()
+        s = transmitted(inst)
         energy += np.mean(s[: cfg.M] ** 2 + s[cfg.M:] ** 2)
         signal += np.mean(inst.received ** 2)
     energy /= frames

@@ -4,14 +4,22 @@ README's config schema and the ``latdec`` help text list the decoder names,
 and README lists each decoder's parameters; both must equal
 ``sim.DECODERS``.  Both also list each channel type's fields, which must
 equal ``sim.CHANNELS``.
+
+The library keeps only what runs: every module-level function and class
+in ``src/latdec`` has a reader in the library, in ``benchmarks/`` or in
+README's library example.  Code that only tests read belongs in the test
+tree.
 """
 
+import ast
+import glob
 import os
 import re
 
 from latdec import cli, sim
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def _readme():
@@ -64,3 +72,33 @@ def test_cli_help_lists_each_channels_fields():
     documented = [(typ, re.findall(r'"(\w+)"', keys))
                   for typ, keys in re.findall(r'\{"type": "(\w+)", ([^}]*)\}', cli.__doc__)]
     assert documented == _channel_fields()
+
+
+def _names_read(tree):
+    """Names, attributes and string constants that occur in an AST."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_library_definition_has_a_reader():
+    # readers are the other top-level statements of the library (__init__'s
+    # exports do not count), of benchmarks/*.py and of README's library example
+    library = [path for path in sorted(glob.glob(os.path.join(ROOT, "src", "latdec", "*.py")))
+               if os.path.basename(path) != "__init__.py"]
+    example = re.search(r"## Library use\s*```python\n(.*?)```", _readme(), re.S).group(1)
+    statements = [(False, ast.parse(example))]
+    for path in library + sorted(glob.glob(os.path.join(ROOT, "benchmarks", "*.py"))):
+        with open(path) as fh:
+            statements += [(path in library, stmt) for stmt in ast.parse(fh.read()).body]
+    reads = [_names_read(stmt) for _, stmt in statements]
+    unread = [stmt.name for i, (in_library, stmt) in enumerate(statements)
+              if in_library and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not any(stmt.name in names for j, names in enumerate(reads) if j != i)]
+    assert not unread, f"defined in src/latdec but read only outside it: {unread}"

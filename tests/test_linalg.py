@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from latdec.errors import RankDeficient, SingularDiagonal
-from latdec.linalg import (back_substitute, complex_to_real_matrix,
-                           complex_to_real_vector, qr_decompose)
+from reference import SingularDiagonal, back_substitute
+from util import complex_to_real_vector
+
+from latdec.errors import RankDeficient
+from latdec.linalg import complex_to_real_matrix, qr_decompose
 
 
 def test_qr_identity():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from reference import exhaustive_ml_loop
-from util import make_problem, transmitted_label
+from reference import (OracleBox, PohstBudget, babai_box, box_clps, enumerate_node_set,
+                       exhaustive_ml_loop)
+from util import make_problem, path_metric, transmitted_label
 
 import latdec
 from latdec import oracle
@@ -135,15 +136,15 @@ def test_exhaustive_matches_se_on_zf_constrained():
 
 def test_box_radius_zero_evaluates_center_only():
     prob = make_problem(np.eye(2), [0.3, -0.2])
-    box = oracle.OracleBox(center=np.array([4, 7]), radius=np.array([0, 0]))
-    label, dist = oracle.box_clps(prob, box)
+    box = OracleBox(center=np.array([4, 7]), radius=np.array([0, 0]))
+    label, dist = box_clps(prob, box)
     assert label == (4, 7)
 
 
 def test_box_one_dimensional_example():
     prob = make_problem([[1.0]], [0.4])
-    box = oracle.OracleBox(center=np.array([0]), radius=np.array([2]))
-    label, dist = oracle.box_clps(prob, box)
+    box = OracleBox(center=np.array([0]), radius=np.array([2]))
+    label, dist = box_clps(prob, box)
     assert label == (0,)
     assert dist == pytest.approx(0.16)
 
@@ -156,7 +157,7 @@ def test_box_clps_agrees_with_stack_on_random_problems():
         inst = latdec.sample_vblast(cfg, latdec.frame_rng(3, i))
         prob = form_tree(inst.received, inst.H, inst.code, "mmse", "lll", "lattice")
         try:
-            label, dist = oracle.box_clps(prob, oracle.babai_box(prob))
+            label, dist = box_clps(prob, babai_box(prob))
         except TooLarge:
             continue
         st = latdec.gbb_run(prob, latdec.policy_stack(0.0))
@@ -172,9 +173,9 @@ def test_constrained_box_oracle_reproduces_ml_decisions():
     for i in range(100):
         inst = latdec.sample_vblast(cfg, latdec.frame_rng(5, i))
         prob = form_tree(inst.received, inst.H, inst.code, "zf", "none", "constrained")
-        box = oracle.OracleBox(center=np.zeros(prob.m, dtype=int),
-                               radius=np.full(prob.m, 2))  # clipped to {0,1}
-        label, dist = oracle.box_clps(prob, box)
+        box = OracleBox(center=np.zeros(prob.m, dtype=int),
+                        radius=np.full(prob.m, 2))  # clipped to {0,1}
+        label, dist = box_clps(prob, box)
         ml = oracle.exhaustive_ml(inst)
         assert label == transmitted_label(prob, ml.label)
         assert dist == pytest.approx(ml.distance, abs=1e-9)  # square Q: isometry
@@ -184,26 +185,26 @@ def test_enumerate_zero_budget_on_noisy_instance_is_empty():
     cfg = latdec.VblastConfig(M=2, N=2, Q=2, rho=10.0)
     inst = latdec.sample_vblast(cfg, latdec.frame_rng(4, 0))
     prob = form_tree(inst.received, inst.H, inst.code, "mmse", "none", "lattice")
-    assert oracle.enumerate_node_set(prob, oracle.PohstBudget(0.0)) == set()
+    assert enumerate_node_set(prob, PohstBudget(0.0)) == set()
 
 
 def test_enumerate_node_set_guard():
     prob = make_problem(np.eye(2) * 1e-3, [0.0, 0.0])
     with pytest.raises(TooLarge):
-        oracle.enumerate_node_set(prob, oracle.PohstBudget(10.0), guard=100)
+        enumerate_node_set(prob, PohstBudget(10.0), guard=100)
 
 
 def test_enumerate_matches_direct_check_small():
     prob = make_problem([[1.0, 0.4], [0.0, 0.8]], [0.3, -0.6])
     C0 = 2.0
-    got = oracle.enumerate_node_set(prob, oracle.PohstBudget(C0))
+    got = enumerate_node_set(prob, PohstBudget(C0))
     # independent re-check over a generous integer window
     want = set()
     for x1 in range(-5, 6):
-        w1 = prob.path_metric((x1,))
+        w1 = path_metric(prob, (x1,))
         if w1 <= C0:
             want.add((x1,))
             for x2 in range(-5, 6):
-                if prob.path_metric((x1, x2)) <= C0:
+                if path_metric(prob, (x1, x2)) <= C0:
                     want.add((x1, x2))
     assert got == want

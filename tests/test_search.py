@@ -2,18 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from reference import fano_decode_visited
-from util import make_problem, transmitted_label
+from reference import (MaxCost, PohstBudget, babai_box, box_clps, enumerate_node_set,
+                       fano_decode_visited)
+from util import (child_interval, make_problem, node_metric, path_metric, se_child_order,
+                  transmitted_label)
 
 import latdec
-from latdec import oracle
 from latdec.errors import EmptySearchSpace, TooLarge
-from latdec.preprocess import apply_back_map, form_tree, node_metric
-from latdec.search import (child_interval, fano_decode, gbb_run, policy_babai,
-                           policy_ep, policy_ir, policy_m_algorithm,
-                           policy_pohst, policy_se, policy_stack,
-                           policy_t_algorithm, policy_vb, restart_schedule,
-                           se_child_order)
+from latdec.preprocess import apply_back_map, form_tree
+from latdec.search import (fano_decode, gbb_run, policy_babai, policy_ep, policy_ir,
+                           policy_m_algorithm, policy_pohst, policy_se, policy_stack,
+                           policy_t_algorithm, policy_vb, restart_schedule)
 
 
 def _random_problem(seed, M=3, Q=2, rho_db=10.0, right="lll", boundary="lattice"):
@@ -196,7 +195,7 @@ def test_optimal_policies_agree_with_each_other_and_box_oracle():
         po = restart_schedule(prob, policy_pohst(C0))
         dists = [se.distance, st.distance, vb.distance, po.distance]
         try:
-            _, d_box = oracle.box_clps(prob, oracle.babai_box(prob))
+            _, d_box = box_clps(prob, babai_box(prob))
             dists.append(d_box)
         except TooLarge:
             pass
@@ -224,10 +223,10 @@ def test_stack_path_minimizes_max_biased_cost():
         _, prob = _random_problem(seed + 200, M=2, rho_db=6.0, right="lll")
         b = 0.7
         st = gbb_run(prob, policy_stack(b))
-        box = oracle.babai_box(prob)
+        box = babai_box(prob)
 
         def max_h(label):
-            return max(prob.path_metric(label[: j + 1]) - b * (j + 1)
+            return max(path_metric(prob, label[: j + 1]) - b * (j + 1)
                        for j in range(len(label)))
 
         chosen = max_h(st.decoded_label)
@@ -252,9 +251,9 @@ def test_stack_trace_within_ir_node_set():
             trace = []
             st = gbb_run(prob, policy_stack(b), on_node=trace.append)
             generated = {t[1] for t in trace}
-            delta = max(prob.path_metric(st.decoded_label[: j + 1]) - b * (j + 1)
+            delta = max(path_metric(prob, st.decoded_label[: j + 1]) - b * (j + 1)
                         for j in range(prob.m)) + 1e-9
-            ir_set = oracle.enumerate_node_set(prob, oracle.MaxCost(b, delta))
+            ir_set = enumerate_node_set(prob, MaxCost(b, delta))
             assert generated <= ir_set
 
 
@@ -265,7 +264,7 @@ def test_ir_policy_trace_equals_oracle_set():
     trace = []
     out = gbb_run(prob, policy_ir(bounds), on_node=trace.append)
     generated = {t[1] for t in trace}
-    assert generated == oracle.enumerate_node_set(prob, oracle.MaxCost(b, delta))
+    assert generated == enumerate_node_set(prob, MaxCost(b, delta))
     assert out.decoded_label is not None
 
 
@@ -276,7 +275,7 @@ def test_pohst_trace_equals_oracle_set():
     trace = []
     gbb_run(prob, policy_pohst(C0), on_node=trace.append)
     generated = {t[1] for t in trace}
-    assert generated == oracle.enumerate_node_set(prob, oracle.PohstBudget(C0))
+    assert generated == enumerate_node_set(prob, PohstBudget(C0))
 
 
 def test_ep_matches_pohst_with_constant_weights():
@@ -355,7 +354,7 @@ def test_fano_properties_on_noisy_frames():
         for level, label, g, f, bound in trace:
             assert f <= bound + 1e-12
         truth = transmitted_label(prob, inst.x_true)
-        f_max = max(prob.path_metric(truth[: j + 1]) - b * (j + 1)
+        f_max = max(path_metric(prob, truth[: j + 1]) - b * (j + 1)
                     for j in range(prob.m))
         f_max = max(f_max, 0.0)
         assert out.max_threshold < f_max + step + 1e-9

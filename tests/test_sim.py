@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from util import AlignmentError, gamma_ratio, sign_test_p
 
 import latdec
 from latdec import cli, sim
-from latdec.errors import AlignmentError, ConfigError
+from latdec.errors import ConfigError, RankDeficient
 
 
 def _base_config(**over):
@@ -381,12 +382,12 @@ def test_compare_requires_a_shared_stopping_rule():
 def test_gamma_ratio():
     cfg = sim.parse_config(_base_config(trials=50, snr_grid_db=[9.0]))
     rep = sim.run_sweep(cfg)
-    ratios = sim.gamma_ratio(rep, rep)
+    ratios = gamma_ratio(rep, rep)
     assert ratios[9.0] == pytest.approx(1.0)
     cfg2 = sim.parse_config(_base_config(trials=50, snr_grid_db=[10.0]))
     rep2 = sim.run_sweep(cfg2)
     with pytest.raises(AlignmentError):
-        sim.gamma_ratio(rep, rep2)
+        gamma_ratio(rep, rep2)
 
 
 def test_wilson_interval_brackets_fer():
@@ -396,9 +397,9 @@ def test_wilson_interval_brackets_fer():
 
 
 def test_sign_test_values():
-    assert sim.sign_test_p(0, 0) == 1.0
-    assert sim.sign_test_p(10, 10) == pytest.approx(2.0 ** -10)
-    assert sim.sign_test_p(5, 10) > 0.5
+    assert sign_test_p(0, 0) == 1.0
+    assert sign_test_p(10, 10) == pytest.approx(2.0 ** -10)
+    assert sign_test_p(5, 10) > 0.5
 
 
 def test_csv_column_order():
@@ -506,6 +507,10 @@ def test_cli_decode_rejects_what_parse_config_rejects(tmp_path):
          "^instance field 'x_true' must hold integers$"),
         (dict(full, instance=dict(inst, received=inst["received"][:2])),
          "^instance field 'received' has 2 entries, not the 4 rows of H$"),
+        (dict(full, decoder={"name": "ml"},
+              instance=dict(inst, H=[[1, 0, 0], [0, 1, 0]], generator=[[1, 0], [0, 1]],
+                            translate=[0, 0], x_true=[0, 1], received=[0, 1])),
+         "^instance field 'H' has 3 columns, not the code dimension 2$"),
     ]
     for key in ("H", "generator", "translate", "info_set", "x_true", "received"):
         cases.append((dict(full, instance={k: v for k, v in inst.items() if k != key}),
@@ -542,6 +547,20 @@ def test_cli_reduce(tmp_path, capsys):
     assert abs(round(np.linalg.det(T.astype(float)))) == 1
     reduced = np.array(rec["reduced"])
     assert (np.linalg.norm(reduced, axis=0) <= np.linalg.norm([[1, 100], [0, 1]], axis=0).max()).all()
+
+
+def test_cli_reduce_rejects_malformed_records(tmp_path):
+    # each malformed record fails naming the basis; a well-formed basis of
+    # lower rank still raises RankDeficient
+    path = tmp_path / "basis.json"
+    for text in ('{}', '[]', '{"basis": [1, 2]}', '{"basis": [[1, 2], [3]]}',
+                 '{"basis": [[1, "x"], [0, 1]]}', '{"basis": [[1, NaN], [0, 1]]}'):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="basis"):
+            cli.main(["reduce", str(path)])
+    path.write_text('{"basis": [[1, 2], [2, 4]]}')
+    with pytest.raises(RankDeficient):
+        cli.main(["reduce", str(path)])
 
 
 def test_cli_simulate_isi_fano(tmp_path):
