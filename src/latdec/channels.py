@@ -143,13 +143,16 @@ class ChannelInstance:
 
 
 def _record_array(rec, key, ndim, section="instance"):
-    """rec[key] as an ndim-dimensional float array; else ConfigError naming key."""
+    """rec[key] as an ndim-dimensional array of finite floats; else
+    ConfigError naming key."""
     try:
         arr = np.asarray(rec[key], dtype=float)
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.ndim != ndim:
         raise ConfigError(f"{section} field {key!r} must be a {ndim}-dimensional numeric array")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{section} field {key!r} must hold finite numbers")
     return arr
 
 

@@ -116,8 +116,6 @@ def cmd_decode(args):
 def cmd_reduce(args):
     rec = _fields("basis record", _load_json(args.basis), ("basis",))
     B = _record_array(rec, "basis", 2, section="basis record")
-    if not np.isfinite(B).all():
-        raise ConfigError("basis record field 'basis' must hold finite numbers")
     reduced, record = lll_reduce(B, delta=args.delta, deep=args.deep)
     print(json.dumps({
         "reduced": reduced.tolist(),
@@ -125,6 +123,24 @@ def cmd_reduce(args):
         "T_inv": [[int(v) for v in row] for row in record.T_inv],
     }, indent=1))
     return 0
+
+
+def _checked(kind, rule):
+    """argparse type: kind(text) if it meets a (what, predicate) rule of sim's config tables."""
+    what, ok = rule
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_WORKERS = _checked(int, sim._at_least(1))
 
 
 def main(argv=None):
@@ -136,7 +152,7 @@ def main(argv=None):
     p.add_argument("config")
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--json", help="machine-readable report path")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_WORKERS, default=1)
     p.add_argument("--shadow-oracle", action="store_true",
                    help="cross-check every frame against exhaustive ML")
     p.add_argument("--dump-failures", help="directory for replayable failing frames")
@@ -146,7 +162,7 @@ def main(argv=None):
     p.add_argument("configs", nargs="+")
     p.add_argument("--out")
     p.add_argument("--json")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_WORKERS, default=1)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("decode", help="replay one exported frame")
@@ -156,7 +172,8 @@ def main(argv=None):
 
     p = sub.add_parser("reduce", help="LLL-reduce a basis")
     p.add_argument("basis")
-    p.add_argument("--delta", type=float, default=0.99)
+    p.add_argument("--delta", type=_checked(float, sim._PREPROC_FIELD_RULES["lll_delta"]),
+                   default=0.99)
     p.add_argument("--deep", action="store_true")
     p.set_defaults(fn=cmd_reduce)
 

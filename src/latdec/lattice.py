@@ -72,7 +72,8 @@ class InfoSet:
 
     kind is one of "hypercube" (labels in {0..q-1}^m), "unconstrained"
     (all of Z^m, i.e. lattice decoding), or "explicit" (enumerated label
-    list, for oracles and small coded systems).
+    list, for oracles and small coded systems; its rows are kept in
+    lexicographic order, the order exhaustive ML settles ties by).
     """
 
     kind: str
@@ -84,8 +85,11 @@ class InfoSet:
             raise ValueError(f"unknown info set kind {self.kind!r}")
         if self.kind == "hypercube" and (self.q is None or self.q < 2):
             raise ValueError("hypercube info set needs q >= 2")
-        if self.kind == "explicit" and self.labels is None:
-            raise ValueError("explicit info set needs a label array")
+        if self.kind == "explicit":
+            labels = np.asarray(self.labels)
+            if labels.ndim != 2:
+                raise ValueError("explicit info set needs a 2-dimensional label array")
+            self.labels = labels[np.lexsort(labels.T[::-1])]
 
     def size(self, dim):
         if self.kind == "hypercube":

@@ -1,7 +1,7 @@
 """Exhaustive maximum-likelihood decoding, independent of the tree search engine.
 
-It enumerates the code's candidate labels directly (vectorized numpy over
-explicit candidate lists); none of the branch-and-bound machinery is
+It enumerates the code's candidate labels directly, in lexicographic
+order, with vectorized numpy; none of the branch-and-bound machinery is
 reused, so the `ml` decoder and the shadow oracle certify the search
 results at desk scale.  Exhaustive ML splits like the tree preprocessing:
 an MlPlan holds what depends only on the channel and the code (for an
@@ -28,7 +28,7 @@ class MlResult:
 
 
 def _enumerate_labels(info_set, m):
-    """Yield candidate label chunks (arrays of shape (B, m))."""
+    """Yield candidate label chunks (arrays of shape (B, m)) in lexicographic order."""
     if info_set.kind == "explicit":
         labels = info_set.labels
         for i in range(0, len(labels), ENUM_CHUNK):
@@ -59,6 +59,8 @@ class MlPlan:
     def __init__(self, H, code):
         self.info_set = code.info_set
         self.m = code.dim
+        if not np.isfinite(H).all():
+            raise ValueError("H: non-finite entries")
         size = self.info_set.size(self.m)
         if size is None or size > ENUM_GUARD:
             raise TooLarge(f"information set size {size} exceeds guard {ENUM_GUARD}")
@@ -81,34 +83,24 @@ def exhaustive_ml(instance, plan=None):
     """Exact maximum-likelihood decision by full enumeration of the code.
 
     plan is an MlPlan of the instance's channel and code, built here when
-    None.  Ties on the distance resolve to the lexicographically smallest
-    label and are flagged in the result.
+    None.  The candidates come in lexicographic order, so the first label
+    at the least distance, the one kept, is the lexicographically smallest
+    of those tied; a tie is flagged in the result.  A non-finite received
+    vector raises ValueError.
     """
     if plan is None:
         plan = MlPlan(instance.H, instance.code)
+    if not np.isfinite(instance.received).all():
+        raise ValueError("received: non-finite entries")
     base = instance.received - plan.offset
-    best_d = math.inf
-    best_label = None
-    tie = False
+    best_d, best_label, tie = math.inf, None, False
     for X, outputs in plan.chunks():
         diff = base[None, :] - outputs
         dists = np.einsum("ij,ij->i", diff, diff)
         i = int(np.argmin(dists))
         d = float(dists[i])
-        if d < best_d:
-            tie = bool(np.sum(dists == d) > 1)
-            if tie:
-                rows = X[dists == d]
-                order = np.lexsort(rows.T[::-1])
-                best_label = rows[order[0]].copy()
-            else:
-                best_label = X[i].copy()
-            best_d = d
+        if d < best_d:  # an earlier chunk keeps its label on an equal distance
+            best_d, best_label, tie = d, X[i].copy(), np.count_nonzero(dists == d) > 1
         elif d == best_d:
             tie = True
-            rows = X[dists == d]
-            order = np.lexsort(rows.T[::-1])
-            cand = rows[order[0]]
-            if tuple(cand) < tuple(best_label):
-                best_label = cand.copy()
-    return MlResult(label=best_label, distance=best_d, tie=tie)
+    return MlResult(label=best_label, distance=best_d, tie=bool(tie))

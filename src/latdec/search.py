@@ -9,8 +9,9 @@ and rule g2 are applied, and the list is re-sorted.  A decoder is a
 SearchPolicy bundle of:
 
   * a sort rule for the ACTIVE list ("lifo" depth-first, "fifo" breadth-
-    first, "cost" best-first, "level-cost" breadth-first by level), each one
-    small class: a deque, a cost heap, or a level heap that applies g2;
+    first, "cost" best-first, "level-cost" breadth-first by level), each
+    kept in a container whose order is its tie rule: a list stack, a cost
+    heap, or one level list that level-cost sorts and bounds by g2;
   * a child generation order ("se" zigzag around the unconstrained
     minimizer, "vb" ascending from the low end of the admissible interval);
   * a bounding vector t (per level, +inf allowed) with a strict or
@@ -24,10 +25,8 @@ SearchPolicy bundle of:
 Children come from one lazy generator per node (_Children) that yields the
 next-level coordinates in the policy's order, each with its level metric.
 The same generator serves gbb_run and the Fano decoder.  The Fano decoder
-(fano_decode) walks one path, revisiting nodes as its threshold moves in
-multiples of the step size, through a memoized node tree: each node
-entered keeps its generator and a memo of the children it has evaluated,
-which a revisit reads instead of evaluating them again.
+(fano_decode) walks one path through a memoized node tree, revisiting
+nodes as its threshold moves in multiples of the step size.
 restart_schedule reruns the loop with every bound doubled while an attempt
 finds no leaf, with no cap: it stops at a leaf, when the attempts together
 spend the node budget, or when doubling leaves the bounds unchanged.  Every
@@ -284,7 +283,7 @@ def _finish(problem, name, label, distance, n_c, budget_hit, unique=None, **extr
 
 
 class _Node:
-    __slots__ = ("label", "level", "g", "f", "kids", "dead")
+    __slots__ = ("label", "level", "g", "f", "kids")
 
     def __init__(self, label, level, g):
         self.label = label
@@ -292,65 +291,52 @@ class _Node:
         self.g = g
         self.f = g        # sort cost; the cost heap replaces it
         self.kids = None  # _Children, made at the first look at a child
-        self.dead = False  # level heap: removed or pruned by g2
 
 
-class _Deque:
-    """lifo / fifo: the top is the newest / oldest node."""
+class _Stack(list):
+    """lifo: a list of nodes whose top is the newest."""
 
-    def __init__(self, root, lifo):
-        self.nodes = deque([root])
-        self.end = -1 if lifo else 0
-        self.drop = self.nodes.pop if lifo else self.nodes.popleft
-        self.push = self.nodes.append
+    drop, push = list.pop, list.append
 
     def top(self):
-        return self.nodes[self.end] if self.nodes else None
+        return self[-1] if self else None
 
 
-class _LevelHeap:
-    """level-cost: lowest level first, then lowest path metric.  When the
-    first node of a new level appears, rule g2 bounds the level above it
-    (M best nodes, or within T of the best) and prunes the nodes beyond."""
+class _Levels:
+    """fifo / level-cost: the current level in a deque, the next in a list,
+    in generation order.  level-cost sorts a level stably by g when it
+    becomes current.  When the next level gets its first child, rule g2
+    bounds the rest of the current level (expanding node first) by the first
+    g plus T, or by the M-th g if more than M remain; the nodes beyond go."""
 
     def __init__(self, root, policy, t):
-        self.heap = [(0, 0.0, 0, root)]
-        self.seq = 1
-        self.t = t
-        self.g2, self.g2_param = policy.g2, policy.g2_param
-        self.by_level = [[] for _ in t]
-        self.deepest = 0
+        self.cur, self.next, self.t = deque([root]), [], t
+        self.by_cost = policy.sort == "level-cost"
+        self.g2 = policy.g2 if self.by_cost else None
+        self.g2_param = policy.g2_param
 
     def top(self):
-        heap = self.heap
-        while heap and heap[0][3].dead:
-            heapq.heappop(heap)
-        return heap[0][3] if heap else None
+        if not self.cur:
+            if not self.next:
+                return None
+            if self.by_cost:
+                self.next.sort(key=lambda nd: nd.g)
+            self.cur, self.next = deque(self.next), []
+        return self.cur[0]
 
     def drop(self):
-        heapq.heappop(self.heap)[3].dead = True
+        self.cur.popleft()
 
     def push(self, child):
-        heapq.heappush(self.heap, (child.level, child.g, self.seq, child))
-        self.seq += 1
-        self.by_level[child.level].append(child)
-        if child.level > self.deepest:
-            self.deepest = child.level
-            if self.g2 is not None and child.level > 1:
-                self._g2(child.level - 1)
-
-    def _g2(self, level):
-        peers = sorted((nd for nd in self.by_level[level] if not nd.dead),
-                       key=lambda nd: nd.g)
-        if self.g2 == "m-alg":
-            if len(peers) <= self.g2_param:
-                return
-            self.t[level] = peers[self.g2_param - 1].g
-        else:  # t-alg
-            self.t[level] = peers[0].g + self.g2_param
-        for nd in peers:
-            if nd.g > self.t[level]:
-                nd.dead = True
+        if not self.next and self.g2 is not None and child.level > 1:
+            cur, level = self.cur, child.level - 1
+            if self.g2 == "t-alg":
+                self.t[level] = cur[0].g + self.g2_param
+            elif len(cur) > self.g2_param:  # m-alg
+                self.t[level] = cur[self.g2_param - 1].g
+            while cur and cur[-1].g > self.t[level]:
+                cur.pop()
+        self.next.append(child)
 
 
 class _CostHeap:
@@ -414,10 +400,10 @@ def _attempt(problem, policy, t, budget_cap, on_node):
     if budget_cap is not None and budget_cap <= 1:  # the root spends it all
         return None, INF, n_c, gen_per_level, True
     root = _Node((), 0, 0.0)
-    if policy.sort in ("lifo", "fifo"):
-        active = _Deque(root, policy.sort == "lifo")
-    elif policy.sort == "level-cost":
-        active = _LevelHeap(root, policy, t)
+    if policy.sort == "lifo":
+        active = _Stack([root])
+    elif policy.sort in ("fifo", "level-cost"):
+        active = _Levels(root, policy, t)
     elif policy.sort == "cost":
         active = _CostHeap(root, problem, policy)
     else:
@@ -456,7 +442,7 @@ def _attempt(problem, policy, t, budget_cap, on_node):
         kids.rank += 1
         coord, w = got
         child = _Node(node.label + (coord,), lvl + 1, node.g + w)
-        active.push(child)  # re-sort; the level heap applies rule g2
+        active.push(child)  # re-sort; the level list applies rule g2
         n_c += 1
         gen_per_level[lvl + 1] += 1
         if on_node is not None:
@@ -503,13 +489,14 @@ def restart_schedule(problem, policy, on_node=None):
 def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_node=None):
     """Iterative best-first search with a running threshold.
 
-    Walks one path through a memoized node tree: each node entered keeps
-    its child generator and a memo of (coord, g, f, child node) per child
-    rank, so each child is evaluated once per decode and a revisit reads
-    the memo.  The threshold T moves in multiples of `step`: it is
-    tightened when a node is visited for the first time and relaxed when
-    neither a forward nor a backward move is possible.  Terminates at the
-    first leaf whose cost is within T.
+    Walks one path through a memoized node tree: each node record holds its
+    child generator, a memo of (coord, child record) per child rank, and its
+    own path metric g and cost f, so each child is evaluated once per decode
+    and a revisit reads the memo.  The threshold T moves in multiples of
+    `step`: it is tightened when a node is visited for the first time and
+    relaxed when neither a forward nor a backward move (which needs the
+    parent's f within T) is possible.  Terminates at the first leaf whose
+    cost is within T.
     """
     for name, value in (("bias", bias), ("step", step)):
         if not math.isfinite(value):
@@ -519,11 +506,11 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
     m = problem.m
     limit = INF if node_budget is None else node_budget
 
-    # the nodes along the current path, each [generator, memo, rank]: memo[r] is
-    # (coord, g, f, child node or None until entered) for the rank-r child, or
-    # None once the order is exhausted; rank is that of the candidate child
-    path, gs, fs = [], [0.0], [0.0]
-    node = [_Children(problem, path), [], 0]
+    # the path: its labels and its node records [generator (None until entered),
+    # memo, rank of the candidate child, g, f]; memo[r] is (coord, child record)
+    # for the rank-r child, or None once the order is exhausted
+    path = []
+    node = [_Children(problem, path), [], 0, 0.0, 0.0]
     nodes = [node]
     unique = 1  # the root and each distinct node entered
     t_mult = t_mult_max = 0  # threshold T = t_mult * step: always an exact multiple
@@ -531,7 +518,7 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
     evals = k = 0
 
     while evals < limit:
-        kids, memo, rank = node
+        kids, memo, rank, g, _ = node
         if rank < len(memo):
             entry = memo[rank]
         else:  # each (node, rank) is evaluated once
@@ -540,46 +527,42 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
             if got is None:
                 entry = None
             else:
-                g = gs[k] + got[1]
-                entry = (got[0], g, g - bias * (k + 1), None)
+                g += got[1]
+                entry = (got[0], [None, [], 0, g, g - bias * (k + 1)])
             memo.append(entry)
         evals += 1
-        if entry is not None and entry[2] <= T:
-            coord, g, f, child = entry
+        if entry is not None and entry[1][4] <= T:
+            coord, child = entry
             path.append(coord)
-            gs.append(g)
-            fs.append(f)
+            nodes.append(child)
             k += 1
+            f = child[4]
             if on_node is not None:
-                on_node((k, tuple(path), g, f, T))
+                on_node((k, tuple(path), child[3], f, T))
             if k == m:
                 unique += 1
                 break
-            if fs[k - 1] > T - step:  # first visit: pull T down as far as allowed
+            if node[4] > T - step:  # first visit: pull T down as far as allowed
                 while f <= (t_mult - 1) * step:
                     t_mult -= 1
                     T = t_mult * step
-            if child is None:
-                child = [_Children(problem, path), [], 0]
-                memo[rank] = (coord, g, f, child)
+            if child[0] is None:
+                child[0] = _Children(problem, path)
                 unique += 1
             child[2] = 0
             node = child
-            nodes.append(node)
-        elif k == 0 or fs[k - 1] > T:
+        elif k == 0 or nodes[k - 1][4] > T:
             t_mult += 1  # cannot move back: relax and look forward again
             t_mult_max = max(t_mult_max, t_mult)
             T = t_mult * step
             node[2] = 0
         else:
             path.pop()  # move back, try the next-best sibling
-            gs.pop()
-            fs.pop()
             nodes.pop()
             k -= 1
             node = nodes[k]
             node[2] += 1
 
     budget_hit = k < m  # the walk ends at a leaf unless the budget runs out first
-    return _finish(problem, "fano", None if budget_hit else tuple(path), gs[-1], evals,
+    return _finish(problem, "fano", None if budget_hit else tuple(path), nodes[-1][3], evals,
                    budget_hit, unique=unique, max_threshold=t_mult_max * step)

@@ -14,7 +14,10 @@ preprocessing that a leaner form must match bit for bit: the QR with its
 sign and norm bookkeeping in separate numpy calls, the effective LLL
 loop whose adjacent step goes through the general insertion scan, the
 greedy ordering with array gains and np.outer downdates, and the
-permutation record composed by integer matrix products.
+permutation record composed by integer matrix products.  The search's
+ACTIVE lists have theirs too: one deque for lifo and fifo, and the
+level-cost heap of (level, g, seq, node) that marks popped and g2-pruned
+nodes dead and ranks only a level's live nodes when g2 bounds it.
 
 The exact checks work in Python ints: the Bareiss determinant, the
 unimodularity test, the Hermite normal form with its unimodular record
@@ -25,7 +28,9 @@ of a Pohst or maximum-cost condition.  The sparsity index of R and a
 triangular back substitution complete them.
 """
 
+import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -434,6 +439,66 @@ def right_preprocess_composed(A, mode="none", lll_delta=0.99, lll_deep=False):
     else:
         Q, R = qr_decompose_signs(work)
     return Q, R, record
+
+
+class ActiveDeque:
+    """lifo / fifo ACTIVE list: one deque whose top is the newest / oldest node."""
+
+    def __init__(self, root, lifo):
+        self.nodes = deque([root])
+        self.end = -1 if lifo else 0
+        self.drop = self.nodes.pop if lifo else self.nodes.popleft
+        self.push = self.nodes.append
+
+    def top(self):
+        return self.nodes[self.end] if self.nodes else None
+
+
+class ActiveLevelHeap:
+    """level-cost ACTIVE list: lowest level first, then lowest path metric,
+    then generation order.  When the first node of a new level appears, rule
+    g2 bounds the level above it (M best live nodes, or within T of the best
+    live one) and marks the nodes beyond dead; popped nodes are dead too."""
+
+    def __init__(self, root, policy, t):
+        self.heap = [(0, 0.0, 0, root)]
+        self.seq = 1
+        self.t = t
+        self.g2, self.g2_param = policy.g2, policy.g2_param
+        self.by_level = [[] for _ in t]
+        self.deepest = 0
+        self.dead = set()  # the nodes themselves, so no id is reused while marked
+
+    def top(self):
+        heap = self.heap
+        while heap and heap[0][3] in self.dead:
+            heapq.heappop(heap)
+        return heap[0][3] if heap else None
+
+    def drop(self):
+        self.dead.add(heapq.heappop(self.heap)[3])
+
+    def push(self, child):
+        heapq.heappush(self.heap, (child.level, child.g, self.seq, child))
+        self.seq += 1
+        self.by_level[child.level].append(child)
+        if child.level > self.deepest:
+            self.deepest = child.level
+            if self.g2 is not None and child.level > 1:
+                self._g2(child.level - 1)
+
+    def _g2(self, level):
+        peers = sorted((nd for nd in self.by_level[level] if nd not in self.dead),
+                       key=lambda nd: nd.g)
+        if self.g2 == "m-alg":
+            if len(peers) <= self.g2_param:
+                return
+            self.t[level] = peers[self.g2_param - 1].g
+        else:  # t-alg
+            self.t[level] = peers[0].g + self.g2_param
+        for nd in peers:
+            if nd.g > self.t[level]:
+                self.dead.add(nd)
 
 
 def _label_chunks(info_set, m, chunk=4096):

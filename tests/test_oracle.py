@@ -92,20 +92,23 @@ def test_ml_plan_on_fixed_vblast_hypercube_matches_reference():
         assert plan.candidates is None  # a hypercube is enumerated per call
 
 
-@pytest.mark.parametrize("rest, descending", [(0.5, False), (-1.0, False), (-1.0, True)],
-                         ids=["0.5", "-1.0", "-1.0-explicit-descending"])
-def test_ml_plan_ties_across_chunks_match_reference(rest, descending):
+@pytest.mark.parametrize("rest, order", [(0.5, None), (-1.0, None), (-1.0, "descending"),
+                                         (0.5, "shuffled")],
+                         ids=["0.5", "-1.0", "-1.0-explicit-descending", "0.5-explicit-shuffled"])
+def test_ml_plan_ties_across_chunks_match_reference(rest, order):
     # 2^13 labels, two chunks of 4096.  rest=0.5: every label is at the same
     # distance; rest=-1: one closest label in each chunk, (0,..,0) and
     # (1,0,..,0), at the same distance.  The hypercube comes in lexicographic
-    # order; the same labels listed explicitly in descending order put the
-    # smaller tied label in the later chunk
+    # order; the same labels listed explicitly in descending or shuffled
+    # order come out of InfoSet in lexicographic order too
     m = 13
-    if descending:
-        idx = np.arange(2**m)[::-1]
-        info_set = InfoSet("explicit", labels=(idx[:, None] >> np.arange(m - 1, -1, -1)) & 1)
-    else:
+    if order is None:
         info_set = InfoSet("hypercube", q=2)
+    else:
+        idx = np.arange(2**m)[::-1] if order == "descending" \
+            else np.random.default_rng(5).permutation(2**m)
+        info_set = InfoSet("explicit", labels=(idx[:, None] >> np.arange(m - 1, -1, -1)) & 1)
+        assert info_set.labels.tolist() == sorted(info_set.labels.tolist())
     code = LatticeCode(np.eye(m), np.zeros(m), info_set)
     received = np.full(m, rest)
     received[0] = 0.5
@@ -114,6 +117,18 @@ def test_ml_plan_ties_across_chunks_match_reference(rest, descending):
     res = oracle.exhaustive_ml(inst, oracle.MlPlan(inst.H, inst.code))
     assert res.tie and not res.label.any()
     _assert_plan_matches_reference(inst, oracle.MlPlan(inst.H, inst.code))
+
+
+def test_exhaustive_ml_rejects_non_finite_inputs():
+    # a NaN distance would never be the least one, so no label would be kept
+    inst = latdec.sample_vblast(latdec.VblastConfig(M=2, N=2, Q=2), latdec.frame_rng(0, 0))
+    H = inst.H.copy()
+    H[0, 0] = np.nan
+    with pytest.raises(ValueError, match="^H: non-finite entries$"):
+        oracle.MlPlan(H, inst.code)
+    inst.received[1] = np.inf
+    with pytest.raises(ValueError, match="^received: non-finite entries$"):
+        oracle.exhaustive_ml(inst)
 
 
 def test_ml_plan_guard():

@@ -1,17 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from reference import (MaxCost, PohstBudget, babai_box, box_clps, enumerate_node_set,
-                       fano_decode_visited)
+from reference import (ActiveDeque, ActiveLevelHeap, MaxCost, PohstBudget, babai_box, box_clps,
+                       enumerate_node_set, fano_decode_visited)
 from util import (child_interval, make_problem, node_metric, path_metric, se_child_order,
                   transmitted_label)
 
 import latdec
 from latdec.errors import EmptySearchSpace, TooLarge
 from latdec.preprocess import apply_back_map, form_tree
-from latdec.search import (fano_decode, gbb_run, policy_babai, policy_ep, policy_ir,
-                           policy_m_algorithm, policy_pohst, policy_se, policy_stack,
+from latdec.search import (SearchPolicy, fano_decode, gbb_run, policy_babai, policy_ep,
+                           policy_ir, policy_m_algorithm, policy_pohst, policy_se, policy_stack,
                            policy_t_algorithm, policy_vb, restart_schedule)
 
 
@@ -313,6 +314,69 @@ def test_t_algorithm_large_parameter_is_optimal():
     out = gbb_run(prob, policy_t_algorithm(1e9))
     se = gbb_run(prob, policy_se())
     assert out.distance == pytest.approx(se.distance)
+
+
+def _level_cost(g2, param, bound):
+    return SearchPolicy(f"level-cost-{g2}", sort="level-cost", gen="vb", bound=bound, g2=g2,
+                        g2_param=param, strict=False)
+
+
+ACTIVE_POLICIES = [
+    lambda m: policy_se(), lambda m: policy_babai(), lambda m: policy_vb(0.5 * m),
+    lambda m: policy_pohst(0.5 * m), lambda m: policy_ir([1.0 * k + 2.0 for k in range(1, m + 1)]),
+    lambda m: policy_ep([0.25 * m + 0.5 * k for k in range(1, m + 1)]),
+    lambda m: policy_m_algorithm(1), lambda m: policy_m_algorithm(2),
+    lambda m: policy_m_algorithm(4), lambda m: policy_t_algorithm(3.0),
+    # a finite level-cost bound leaves nodes without children, which g2 must not rank
+    lambda m: _level_cost("m-alg", 2, [k + 1.0 for k in range(1, m + 1)]),
+    lambda m: _level_cost("t-alg", 1.0, 3.0), lambda m: _level_cost(None, None, 0.5 * m),
+]
+
+
+def test_active_lists_match_the_deque_and_level_heap(monkeypatch):
+    # the list stack and the level list against the one deque and the level
+    # heap they replaced: labels or EmptySearchSpace, n_c, per-level counts
+    # and traces agree with and without a node budget (half the unbudgeted
+    # n_c).  Applying g2 to a level when it becomes current, instead of when
+    # the next level gets its first child, fails here: it also ranks the
+    # front nodes that a finite bound leaves without a child
+    from latdec import search
+
+    problems = []
+    for M in (3, 4):
+        cfg = latdec.VblastConfig(M=M, N=M, Q=4, rho=10.0 ** 0.8)  # 8 dB
+        for frame in range(20):
+            inst = latdec.sample_vblast(cfg, latdec.frame_rng(7, M, frame))
+            problems.append(form_tree(inst.received, inst.H, inst.code, "zf", "none",
+                                      "constrained"))
+    cases = [(prob, policy(prob.m)) for prob in problems for policy in ACTIVE_POLICIES]
+
+    def run(search_fn, prob, policy):
+        trace = []
+        try:
+            out = search_fn(prob, policy, on_node=trace.append)
+        except EmptySearchSpace as err:
+            return err.node_generations, None, trace
+        return out.node_generations, vars(out), trace
+
+    def run_all():
+        got = []
+        for prob, policy in cases:
+            for search_fn in (gbb_run, restart_schedule):
+                got.append(run(search_fn, prob, policy))
+                budget = max(2, got[-1][0] // 2)
+                got.append(run(search_fn, prob, replace(policy, node_budget=budget)))
+        return got
+
+    got = run_all()
+    monkeypatch.setattr(search, "_Stack", lambda nodes: ActiveDeque(nodes[0], lifo=True))
+    monkeypatch.setattr(search, "_Levels", lambda root, policy, t: (
+        ActiveDeque(root, lifo=False) if policy.sort == "fifo"
+        else ActiveLevelHeap(root, policy, t)))
+    want = run_all()
+    assert got == want
+    assert any(out is None for _, out, _ in got)  # some searches find no leaf
+    assert any(out is not None and out["budget_hit"] for _, out, _ in got)
 
 
 # ---------------------------------------------------------------------------

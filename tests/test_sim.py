@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -512,6 +513,15 @@ def test_cli_decode_rejects_what_parse_config_rejects(tmp_path):
                             translate=[0, 0], x_true=[0, 1], received=[0, 1])),
          "^instance field 'H' has 3 columns, not the code dimension 2$"),
     ]
+    nan_h = [row[:] for row in inst["H"]]
+    nan_h[0][0] = math.nan
+    inf_g = [row[:] for row in inst["generator"]]
+    inf_g[1][1] = math.inf
+    for name, key, value in (("ml", "H", nan_h), ("ml", "received", [math.nan] * 4),
+                             ("ml", "translate", [0.0, math.nan, 0.0, 0.0]),
+                             ("se", "generator", inf_g), ("se", "H", nan_h)):
+        cases.append((dict(full, decoder={"name": name}, instance=dict(inst, **{key: value})),
+                      f"^instance field {key!r} must hold finite numbers$"))
     for key in ("H", "generator", "translate", "info_set", "x_true", "received"):
         cases.append((dict(full, instance={k: v for k, v in inst.items() if k != key}),
                       f"^missing instance field {key!r}$"))
@@ -561,6 +571,22 @@ def test_cli_reduce_rejects_malformed_records(tmp_path):
     path.write_text('{"basis": [[1, 2], [2, 4]]}')
     with pytest.raises(RankDeficient):
         cli.main(["reduce", str(path)])
+
+
+def test_cli_flags_are_checked_at_parse_time(tmp_path, capsys):
+    # each bad value exits with a usage error naming its flag, before any
+    # file is read or any worker is started
+    path = str(tmp_path / "missing.json")
+    for argv, flag in ((["reduce", path, "--delta", "2"], "--delta"),
+                       (["reduce", path, "--delta", "0.1"], "--delta"),
+                       (["reduce", path, "--delta", "nan"], "--delta"),
+                       (["simulate", path, "--workers", "0"], "--workers"),
+                       (["simulate", path, "--workers", "-2"], "--workers"),
+                       (["compare", path, "--workers", "0"], "--workers")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_cli_simulate_isi_fano(tmp_path):
