@@ -127,6 +127,9 @@ class ChannelInstance:
         H = _record_array(rec, "H", 2)
         x_true = _record_array(rec, "x_true", 1)
         received = _record_array(rec, "received", 1)
+        if info_set.kind == "explicit" and info_set.labels.shape[1] != code.dim:
+            raise ConfigError(f"instance field 'info_set' has labels {info_set.labels.shape[1]} "
+                              f"wide, not the code dimension {code.dim}")
         if H.shape[1] != code.dim:
             raise ConfigError(f"instance field 'H' has {H.shape[1]} columns, "
                               f"not the code dimension {code.dim}")
@@ -326,7 +329,8 @@ EXPLICIT_LABEL_LIMIT = 2**16
 @lru_cache(maxsize=16)
 def _isi_lattice(gen_polys, frame, q, kappa):
     """Construction-A lattice code of a terminated convolutional code; cached
-    because it is identical for every frame of a sweep."""
+    because it is identical for every frame of a sweep, so its arrays are
+    read-only."""
     k = conv_info_len(gen_polys, frame)
     P, perm = conv_code_systematic(gen_polys, k)
     Ga_perm = construction_a(P, q)
@@ -340,7 +344,11 @@ def _isi_lattice(gen_polys, frame, q, kappa):
         labels = np.hstack([us, -((us @ P.T) // q)])
     iset = InfoSet("explicit", labels=labels) if labels is not None \
         else InfoSet("unconstrained")
-    return LatticeCode(generator=G, translate=v, info_set=iset), P, k
+    code = LatticeCode(generator=G, translate=v, info_set=iset)
+    for shared in (code.generator, code.translate, iset.labels, P):
+        if shared is not None:
+            shared.flags.writeable = False
+    return code, P, k
 
 
 @lru_cache(maxsize=16)

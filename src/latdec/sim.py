@@ -7,6 +7,13 @@ the transmitted ones.  Every frame gets its own RNG substream keyed by
 regardless of the worker count; the stopping rule is evaluated at fixed
 chunk boundaries for the same reason.
 
+A chunk of frames runs in stages: sample every frame; then, frame by
+frame and config by config, the plan (one per preprocessing, kept for the
+chunk on a static channel and rebuilt per frame on a fading one), the
+frame's problem, the decode and the shadow-oracle check; last, the tally
+of each config over the whole chunk, on the stacked decoded and true
+labels.
+
 Frame errors count any difference in the information symbols; bit errors
 use the natural binary map of each symbol value (decoded symbols outside
 {0..Q-1} are clamped first).  Confidence intervals on the frame error rate
@@ -320,13 +327,6 @@ def _bits_per_symbol(q):
     return max(1, (q - 1).bit_length())
 
 
-def _bit_errors(decoded, truth, q, info_len):
-    dec = np.clip(np.asarray(decoded[:info_len], dtype=int), 0, q - 1)
-    tru = np.asarray(truth[:info_len], dtype=int)
-    x = np.bitwise_xor(dec, tru)
-    return int(sum(int(v).bit_count() for v in x))
-
-
 @dataclass
 class FrameResult:
     info: np.ndarray
@@ -448,7 +448,8 @@ def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limi
     Returns one PointStats per config, per config the frame records
     (point_idx, frame, err, nc, unique, distance, info) when collect_frames
     is set (else empty lists), and (point_idx, frame, config index,
-    instance JSON) of the first `dump_limit` failing decodes in frame order.
+    instance JSON) of the first `dump_limit` failing decodes in (frame,
+    config) order.
     """
     base = cfgs[0]
     kind = _KIND_OF_CONFIG[type(base.channel)]
@@ -458,15 +459,14 @@ def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limi
     if base.fixed_channel and not kind.static:
         sample_kwargs["channel"] = channels.draw_mimo_channel(
             ch_cfg, channels.frame_rng(base.seed, point_idx))
+    frame_ids = range(start, start + count)
+    insts = [sample(ch_cfg, channels.frame_rng(base.seed, point_idx, frame), **sample_kwargs)
+             for frame in frame_ids]
     plans = {}  # TreePlans keyed by PreprocSpec, shared between configs; "ml": MlPlan
     static_channel = base.fixed_channel or kind.static
-    stats = [PointStats(snr_db=snr_db) for _ in cfgs]
-    frames = [[] for _ in cfgs]
-    failures = []
-    for frame in range(start, start + count):
-        rng = channels.frame_rng(base.seed, point_idx, frame)
-        inst = sample(ch_cfg, rng, **sample_kwargs)
-        info_len = inst.info_len or inst.code.dim
+    results = [[] for _ in cfgs]
+    shadow = [0] * len(cfgs)
+    for inst in insts:
         ml_res = None
         if not static_channel:
             plans.clear()
@@ -478,26 +478,33 @@ def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limi
                     plans[cfg.preproc] = cfg.preproc.plan(inst.H, inst.code)
                 problem = plans[cfg.preproc].problem_for(inst.received)
             res = decode_frame(inst, problem, cfg.decoder)
-            err = not np.array_equal(res.info, inst.x_true)
-            st = stats[ci]
-            st.trials += 1
-            st.frame_errors += int(err)
-            st.bit_errors += _bit_errors(res.info, inst.x_true, cfg.channel.Q, info_len)
-            st.info_bits += info_len * _bits_per_symbol(cfg.channel.Q)
-            st.nc_values.append(res.nc)
-            st.restarts += res.restarts
-            st.budget_hits += int(res.budget_hit)
+            results[ci].append(res)
             if cfg.shadow_oracle:
                 if ml_res is None:
                     ml_res = oracle.exhaustive_ml(inst, _ml_plan(plans, inst))
                 d_dec = _channel_distance(inst, res.info)
-                if d_dec > ml_res.distance * (1 + 1e-9) + 1e-9:
-                    st.shadow_disagreements += 1
-            if err and len(failures) < dump_limit:
-                failures.append((point_idx, frame, ci, inst.to_json()))
-            if collect_frames:
-                frames[ci].append((point_idx, frame, int(err), res.nc, res.unique, res.distance,
-                                   tuple(int(v) for v in res.info)))
+                shadow[ci] += d_dec > ml_res.distance * (1 + 1e-9) + 1e-9
+    # tally; the configs share the channel, so Q and info_len hold for all
+    q, bits = base.channel.Q, _bits_per_symbol(base.channel.Q)
+    info_len = insts[0].info_len or insts[0].code.dim
+    truth = np.array([inst.x_true for inst in insts])
+    stats, frames, errs = [], [], []
+    for ci, res in enumerate(results):
+        dec = np.array([r.info for r in res])
+        err = (dec != truth).any(axis=1)
+        xor = np.clip(dec[:, :info_len], 0, q - 1) ^ truth[:, :info_len]
+        stats.append(PointStats(
+            snr_db=snr_db, trials=count, frame_errors=int(err.sum()),
+            bit_errors=sum(int(((xor >> b) & 1).sum()) for b in range(bits)),
+            info_bits=count * info_len * bits, nc_values=[r.nc for r in res],
+            restarts=sum(r.restarts for r in res), budget_hits=sum(r.budget_hit for r in res),
+            shadow_disagreements=shadow[ci]))
+        frames.append([(point_idx, frame, int(e), r.nc, r.unique, r.distance, tuple(info))
+                       for frame, e, r, info in zip(frame_ids, err, res, dec.tolist())]
+                      if collect_frames else [])
+        errs.append(err)
+    failing = np.argwhere(np.array(errs).T)[:dump_limit]  # in (frame, config) order
+    failures = [(point_idx, start + f, ci, insts[f].to_json()) for f, ci in failing.tolist()]
     return stats, frames, failures
 
 

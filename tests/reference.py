@@ -26,15 +26,20 @@ directly, without the branch-and-bound engine: a box certified to hold the
 closest point with the exhaustive search over it, and the exact node set
 of a Pohst or maximum-cost condition.  The sparsity index of R and a
 triangular back substitution complete them.
+
+The sweep's per-decode tally is the form that counts each decode's frame
+error, bit errors and record as it is decoded, frame by frame, with
+small numpy calls on one label at a time.
 """
 
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from latdec import channels, oracle, sim
 from latdec.errors import DimensionMismatch, LatdecError, RankDeficient, TooLarge
 from latdec.lattice import UnimodularRecord, _exact_matmul, _int_array
 from latdec.linalg import QR_TOL
@@ -777,3 +782,68 @@ def enumerate_node_set(problem, condition, guard=ENUM_GUARD):
 
     recurse((), 0.0)
     return out
+
+
+def _bit_errors(decoded, truth, q, info_len):
+    dec = np.clip(np.asarray(decoded[:info_len], dtype=int), 0, q - 1)
+    tru = np.asarray(truth[:info_len], dtype=int)
+    x = np.bitwise_xor(dec, tru)
+    return int(sum(int(v).bit_count() for v in x))
+
+
+def run_frames_per_decode(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limit):
+    """sim._run_frames with the tally made per decode, frame by frame.
+
+    Same contract: one PointStats per config, per config the frame records
+    when collect_frames is set, and the first dump_limit failing decodes in
+    (frame, config) order.
+    """
+    base = cfgs[0]
+    kind = sim._KIND_OF_CONFIG[type(base.channel)]
+    sample = getattr(channels, kind.sampler)
+    ch_cfg = replace(base.channel, rho=10.0 ** (snr_db / 10.0))
+    sample_kwargs = {"noiseless": base.noiseless}
+    if base.fixed_channel and not kind.static:
+        sample_kwargs["channel"] = channels.draw_mimo_channel(
+            ch_cfg, channels.frame_rng(base.seed, point_idx))
+    plans = {}
+    static_channel = base.fixed_channel or kind.static
+    stats = [sim.PointStats(snr_db=snr_db) for _ in cfgs]
+    frames = [[] for _ in cfgs]
+    failures = []
+    for frame in range(start, start + count):
+        rng = channels.frame_rng(base.seed, point_idx, frame)
+        inst = sample(ch_cfg, rng, **sample_kwargs)
+        info_len = inst.info_len or inst.code.dim
+        ml_res = None
+        if not static_channel:
+            plans.clear()
+        for ci, cfg in enumerate(cfgs):
+            if cfg.decoder.name == "ml":
+                problem = sim._ml_plan(plans, inst)
+            else:
+                if cfg.preproc not in plans:
+                    plans[cfg.preproc] = cfg.preproc.plan(inst.H, inst.code)
+                problem = plans[cfg.preproc].problem_for(inst.received)
+            res = sim.decode_frame(inst, problem, cfg.decoder)
+            err = not np.array_equal(res.info, inst.x_true)
+            st = stats[ci]
+            st.trials += 1
+            st.frame_errors += int(err)
+            st.bit_errors += _bit_errors(res.info, inst.x_true, cfg.channel.Q, info_len)
+            st.info_bits += info_len * sim._bits_per_symbol(cfg.channel.Q)
+            st.nc_values.append(res.nc)
+            st.restarts += res.restarts
+            st.budget_hits += int(res.budget_hit)
+            if cfg.shadow_oracle:
+                if ml_res is None:
+                    ml_res = oracle.exhaustive_ml(inst, sim._ml_plan(plans, inst))
+                d_dec = sim._channel_distance(inst, res.info)
+                if d_dec > ml_res.distance * (1 + 1e-9) + 1e-9:
+                    st.shadow_disagreements += 1
+            if err and len(failures) < dump_limit:
+                failures.append((point_idx, frame, ci, inst.to_json()))
+            if collect_frames:
+                frames[ci].append((point_idx, frame, int(err), res.nc, res.unique, res.distance,
+                                   tuple(int(v) for v in res.info)))
+    return stats, frames, failures

@@ -4,7 +4,8 @@ benchmarks/tracer.py wraps latdec functions at the module attributes their
 callers resolve at call time, so renaming or inlining one of them silently
 breaks ``benchmarks/run.py --trace 1``.  This sweeps one short block of each
 gated workload under the tracer and runs the benchmark's own wrap-point
-check on it.  The benchmark files are imported, never changed.
+check on it, and checks that the traced sweep writes the untraced one's
+CSV.  The benchmark files are imported, never changed.
 """
 
 import os
@@ -28,3 +29,4 @@ def test_traced_sweep_meets_every_wrap_point(name, monkeypatch):
         reports, _ = run.sweep(cfgs, 1)
     records = list(run.frame_records(reports).values())
     assert run.wrap_point_errors(tr, cfgs, 1, FRAMES, records) == []
+    assert run.csv_text(reports) == run.csv_text(run.sweep(cfgs, 1)[0])

@@ -143,6 +143,18 @@ def test_isi_instances_share_one_read_only_channel():
     assert other.H is not a.H and np.array_equal(other.H, 3.0 * channels.isi_toeplitz(taps, 8))
 
 
+def test_isi_instances_share_one_read_only_code():
+    cfg = latdec.IsiConfig(taps=(0.848, -0.424, 0.2545), frame_len=12, gen_polys=(5, 7))
+    a = latdec.build_isi_instance(cfg, latdec.frame_rng(8, 0))
+    b = latdec.build_isi_instance(cfg, latdec.frame_rng(8, 1))
+    assert a.code is b.code and a.code.info_set.kind == "explicit"
+    for shared in (a.code.generator, a.code.translate, a.code.info_set.labels):
+        with pytest.raises(ValueError):
+            shared[0] = 1
+        with pytest.raises(ValueError):
+            shared *= 2
+
+
 def test_isi_invalid_taps():
     with pytest.raises(InvalidTaps):
         latdec.IsiConfig(taps=(), frame_len=4)

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference import run_frames_per_decode
 from util import AlignmentError, gamma_ratio, sign_test_p
 
 import latdec
@@ -292,6 +293,25 @@ def test_dump_failures_independent_of_worker_count(tmp_path):
     assert dumped[0] == dumped[1]
 
 
+def test_dump_failures_of_two_configs_in_frame_then_config_order(tmp_path):
+    # both configs fail on shared frames, in both chunks of point 0; the dump
+    # limit falls between the two configs of one frame of point 1
+    cfgs = [sim.parse_config(_base_config(trials=600, snr_grid_db=[16.0, 16.0], **over))
+            for over in ({}, {"preproc": BOX, "decoder": {"name": "fano", "bias": 1.0}})]
+    reports = sim.compare_decoders(cfgs, collect_frames=True)
+    failed = sorted((point, frame, ci) for ci, rep in enumerate(reports)
+                    for point, frame, err, *_ in rep.frames if err)
+    kept = failed[:sim.DUMP_LIMIT]
+    assert any(frame >= sim.CHUNK for _, frame, _ in kept)
+    assert any((p, f, 0) in kept and (p, f, 1) in kept for p, f, _ in kept)
+    assert kept[-1][2] == 0 and failed[sim.DUMP_LIMIT] == (*kept[-1][:2], 1)
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        sim.compare_decoders(cfgs, workers=workers, dump_failures=str(out))
+        assert sorted(p.name for p in out.glob("*.json")) == sorted(
+            f"fail_p{p}_f{f}_d{ci}.json" for p, f, ci in kept)
+
+
 def test_dump_failures_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     # decoder parameters are written in the decoder table's order, so a Fano
     # record reads the same under any PYTHONHASHSEED
@@ -318,6 +338,41 @@ def test_stopping_rule_applies_at_chunk_boundaries():
     assert point.frame_errors >= 5
     assert point.trials < 5000
     assert point.trials % sim.CHUNK == 0
+
+
+VBLAST_4X4_Q4 = {"type": "vblast", "M": 4, "N": 4, "Q": 4}
+ZF_LATTICE = {"left": "zf", "right": "none", "boundary": "lattice"}
+FANO = {"name": "fano", "bias": 1.0}
+
+
+def _labels_outside_alphabet(stats, frames):
+    return any(v < 0 or v >= 4 for recs in frames for rec in recs for v in rec[6])
+
+
+@pytest.mark.parametrize("snr_db, configs, check", [
+    # lattice decoding at 0 dB: decoded labels outside {0..Q-1}, which the
+    # bit count clips
+    (0.0, [dict(channel=VBLAST_4X4_Q4, preproc=ZF_LATTICE, decoder={"name": "se"}),
+           dict(channel=VBLAST_4X4_Q4, preproc=ZF_LATTICE, decoder=FANO)],
+     _labels_outside_alphabet),
+    # coded ISI: bits of 4 information symbols of 12
+    (4.0, [dict(channel=ISI_ML_CHANNEL, decoder=FANO),
+           dict(channel=ISI_ML_CHANNEL, decoder={"name": "ml"})],
+     lambda stats, frames: stats[0].info_bits == 60 * 4 and len(frames[0][0][6]) == 12),
+    (6.0, [dict(decoder=FANO, shadow_oracle=True),
+           dict(preproc=BOX, decoder={"name": "se"}, shadow_oracle=True)],
+     lambda stats, frames: any(st.shadow_disagreements for st in stats)),
+], ids=["clipped", "coded", "shadow"])
+def test_chunk_tally_matches_the_per_decode_tally(snr_db, configs, check):
+    cfgs = [sim.parse_config(_base_config(snr_grid_db=[snr_db], **c)) for c in configs]
+    for collect_frames, dump_limit in ((True, 1000), (False, 3), (True, 0)):
+        args = (cfgs, snr_db, 1, 7, 60, collect_frames, dump_limit)
+        got, want = sim._run_frames(*args), run_frames_per_decode(*args)
+        for a, b in zip(got[0], want[0]):  # repr: every field, with its type
+            assert repr(a) == repr(b)
+        assert repr(got[1:]) == repr(want[1:])
+    stats, frames, _ = got
+    assert any(st.frame_errors for st in stats) and check(stats, frames)
 
 
 def test_shadow_oracle_agrees_with_ml_path():
@@ -512,6 +567,9 @@ def test_cli_decode_rejects_what_parse_config_rejects(tmp_path):
               instance=dict(inst, H=[[1, 0, 0], [0, 1, 0]], generator=[[1, 0], [0, 1]],
                             translate=[0, 0], x_true=[0, 1], received=[0, 1])),
          "^instance field 'H' has 3 columns, not the code dimension 2$"),
+        (dict(full, decoder={"name": "ml"}, instance=dict(
+            inst, info_set={"kind": "explicit", "labels": [[0, 1, 0], [1, 1, 0]]})),
+         "^instance field 'info_set' has labels 3 wide, not the code dimension 4$"),
     ]
     nan_h = [row[:] for row in inst["H"]]
     nan_h[0][0] = math.nan
