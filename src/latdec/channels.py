@@ -326,6 +326,15 @@ def coded_labels(P, q, u):
 EXPLICIT_LABEL_LIMIT = 2**16
 
 
+def isi_label_count(cfg: IsiConfig):
+    """Labels in the information set of the code of cfg's frames: Q^frame_len
+    uncoded, the codewords when listed explicitly, None when unconstrained."""
+    if cfg.gen_polys is None:
+        return cfg.Q**cfg.frame_len
+    count = cfg.Q ** conv_info_len(cfg.gen_polys, cfg.frame_len)
+    return count if count <= EXPLICIT_LABEL_LIMIT else None
+
+
 @lru_cache(maxsize=16)
 def _isi_lattice(gen_polys, frame, q, kappa):
     """Construction-A lattice code of a terminated convolutional code; cached

@@ -57,9 +57,10 @@ def _write_outputs(args, csv_text, report_json):
 
 
 def cmd_simulate(args):
-    cfg = sim.parse_config(_load_json(args.config))
-    if args.shadow_oracle:
-        cfg.shadow_oracle = True
+    d = _load_json(args.config)
+    if args.shadow_oracle and isinstance(d, dict):
+        d = {**d, "shadow_oracle": True}  # checked by parse_config like the config field
+    cfg = sim.parse_config(d)
     report = sim.run_sweep(cfg, workers=args.workers, dump_failures=args.dump_failures)
     _write_outputs(args, report.to_csv(), _report_json(report))
     shadows = sum(p.shadow_disagreements for p in report.points)
@@ -94,7 +95,7 @@ def cmd_decode(args):
     inst = ChannelInstance.from_json(json.dumps(rec["instance"]))
     pre = sim.parse_preproc(rec.get("preproc"))
     dec = sim.parse_decoder(rec["decoder"])
-    sim.check_decoder(dec, pre, inst.H.shape[1])
+    sim.check_decoder(dec, pre, inst.H.shape[1], inst.code.info_set.size(inst.code.dim))
     problem = None if dec.name == "ml" else pre.plan(inst.H, inst.code).problem_for(inst.received)
     trace = []
     res = sim.decode_frame(inst, problem, dec, on_node=trace.append if args.trace else None)

@@ -4,9 +4,12 @@ It enumerates the code's candidate labels directly, in lexicographic
 order, with vectorized numpy; none of the branch-and-bound machinery is
 reused, so the `ml` decoder and the shadow oracle certify the search
 results at desk scale.  Exhaustive ML splits like the tree preprocessing:
-an MlPlan holds what depends only on the channel and the code (for an
-explicit information set, every candidate's noiseless output), so a sweep
-builds it once per static channel and each frame only measures distances.
+an MlPlan holds what depends only on the channel and the code, so a sweep
+builds it once per static channel.  A plan streams the candidates' noiseless
+outputs one chunk at a time, each chunk turned into the frame's residuals in
+place, until it is used a second time: from then on it keeps the outputs of
+an explicit information set and each frame only measures distances.  The
+one-shot call exhaustive_ml(instance) thus never stores a candidate list.
 """
 
 import math
@@ -17,7 +20,17 @@ import numpy as np
 from .errors import TooLarge
 
 ENUM_GUARD = 2**20
-ENUM_CHUNK = 4096  # candidate labels per vectorized batch
+# Candidate labels per vectorized batch.  256-label chunks sped up the
+# streamed one-shot call on the isi_static benchmark workload, but a stored
+# plan then reads 16 times as many chunks per frame, which cost that
+# workload's sweep 7 % of its frames/s; so it stays at 4096.
+ENUM_CHUNK = 4096
+
+
+def enumerable(size):
+    """Whether exhaustive ML enumerates an information set of size labels
+    (None for an unconstrained set); MlPlan raises TooLarge otherwise."""
+    return size is not None and size <= ENUM_GUARD
 
 
 @dataclass
@@ -48,12 +61,13 @@ class MlPlan:
     """The channel-dependent part of exhaustive ML for (H, code), reusable
     across received frames while the channel stays the same.
 
-    It holds the noiseless translate H v and D = H G.  An explicit
-    information set also keeps its candidate outputs X D' in float64, one
-    matrix per chunk of labels: those labels are in memory already, and the
-    outputs take memory of the same order.  A hypercube set (up to
-    ENUM_GUARD candidates) is never materialized; its chunks are formed
-    on every call.
+    It holds the noiseless translate H v and D = H G.  The candidate
+    outputs X D' come in float64, one matrix per chunk of labels.  A plan
+    forms them on every call until its second use; from then on an
+    explicit information set keeps them in `candidates` (those labels are
+    in memory already, and the outputs take memory of the same order), so
+    only a plan that is reused stores them.  A hypercube set (up to
+    ENUM_GUARD candidates) is never stored.
     """
 
     def __init__(self, H, code):
@@ -62,20 +76,28 @@ class MlPlan:
         if not np.isfinite(H).all():
             raise ValueError("H: non-finite entries")
         size = self.info_set.size(self.m)
-        if size is None or size > ENUM_GUARD:
+        if not enumerable(size):
             raise TooLarge(f"information set size {size} exceeds guard {ENUM_GUARD}")
         self.D = H @ code.generator
         self.offset = H @ code.translate
         self.candidates = None
-        if self.info_set.kind == "explicit":
-            self.candidates = list(self._outputs())
+        self._used = False
 
     def _outputs(self):
         for X in _enumerate_labels(self.info_set, self.m):
             yield X, X.astype(float) @ self.D.T
 
     def chunks(self):
-        """(labels, noiseless outputs) of every chunk of candidate labels."""
+        """(labels, noiseless outputs) of every chunk of candidate labels.
+
+        Stored outputs are read-only; outputs formed for this call are the
+        caller's to overwrite.
+        """
+        if self._used and self.candidates is None and self.info_set.kind == "explicit":
+            self.candidates = list(self._outputs())
+            for _, outputs in self.candidates:
+                outputs.flags.writeable = False
+        self._used = True
         return self.candidates if self.candidates is not None else self._outputs()
 
 
@@ -83,7 +105,8 @@ def exhaustive_ml(instance, plan=None):
     """Exact maximum-likelihood decision by full enumeration of the code.
 
     plan is an MlPlan of the instance's channel and code, built here when
-    None.  The candidates come in lexicographic order, so the first label
+    None; that plan is used once, so it streams its candidates and stores
+    none.  The candidates come in lexicographic order, so the first label
     at the least distance, the one kept, is the lexicographically smallest
     of those tied; a tie is flagged in the result.  A non-finite received
     vector raises ValueError.
@@ -95,7 +118,8 @@ def exhaustive_ml(instance, plan=None):
     base = instance.received - plan.offset
     best_d, best_label, tie = math.inf, None, False
     for X, outputs in plan.chunks():
-        diff = base[None, :] - outputs
+        # a chunk formed for this call becomes its residuals in place
+        diff = np.subtract(base, outputs, out=outputs if outputs.flags.writeable else None)
         dists = np.einsum("ij,ij->i", diff, diff)
         i = int(np.argmin(dists))
         d = float(dists[i])

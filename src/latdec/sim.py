@@ -190,24 +190,28 @@ def _isi_config(taps, frame_len, Q=2, gen_polys=None):
 
 
 # type -> (config class, its build function from the checked fields, rules
-# of each key but "type", sampler name in channels, lattice dimension, static)
-ChannelKind = namedtuple("ChannelKind", "config build rules sampler dim static")
+# of each key but "type", sampler name in channels, lattice dimension, number
+# of code labels (None when unconstrained), static)
+ChannelKind = namedtuple("ChannelKind", "config build rules sampler dim labels static")
 _MIMO_RULES = {"M": _at_least(1), "N": _at_least(1), "Q": _at_least(2)}
 CHANNELS = {
     "vblast": ChannelKind(channels.VblastConfig, channels.VblastConfig, _MIMO_RULES,
-                          "sample_vblast", lambda ch: 2 * ch.M, False),
+                          "sample_vblast", lambda ch: 2 * ch.M, lambda ch: ch.Q ** (2 * ch.M),
+                          False),
     "ld": ChannelKind(channels.LdCodeConfig, _ld_config,
                       {**_MIMO_RULES, "T": _at_least(1),
                        "generator": ("a list", lambda v: isinstance(v, (list, tuple))),
                        "generator_seed": _at_least(0)},
-                      "build_ld_instance", lambda ch: 2 * ch.M * ch.T, False),
+                      "build_ld_instance", lambda ch: 2 * ch.M * ch.T,
+                      lambda ch: ch.Q ** (2 * ch.M * ch.T), False),
     "isi": ChannelKind(channels.IsiConfig, _isi_config,
                        {"taps": ("a list of finite numbers, not all zero",
                                  lambda v: _numbers(v, math.isfinite) and any(v)),
                         "frame_len": _at_least(1), "Q": _at_least(2),
                         "gen_polys": ("a non-empty list of octal numbers or null",
                                       lambda v: v is None or _numbers(v, _octal) and len(v) > 0)},
-                       "build_isi_instance", lambda ch: ch.frame_len, True),
+                       "build_isi_instance", lambda ch: ch.frame_len,
+                       channels.isi_label_count, True),
 }
 _KIND_OF_CONFIG = {kind.config: kind for kind in CHANNELS.values()}
 
@@ -262,12 +266,24 @@ def parse_decoder(d):
     return spec
 
 
-def check_decoder(decoder, preproc, dim):
-    """Check a parsed decoder against its preprocessing and the channel's
-    lattice dimension dim; raises ConfigError naming the field.
+def _check_enumerable(field, labels):
+    """ConfigError naming field unless exhaustive ML can enumerate a code of
+    `labels` labels (None: an unconstrained information set)."""
+    if not oracle.enumerable(labels):
+        code = "an unconstrained information set" if labels is None else f"{labels} labels"
+        raise ConfigError(f"{field} enumerates the code for exhaustive ML, at most "
+                          f"{oracle.ENUM_GUARD} labels, but the code has {code}")
+
+
+def check_decoder(decoder, preproc, dim, labels):
+    """Check a parsed decoder against its preprocessing, the channel's
+    lattice dimension dim and the code's number of labels (None when
+    unconstrained); raises ConfigError naming the field.
 
     parse_config runs this, and so does the replay of a dumped frame.
     """
+    if decoder.name == "ml":
+        _check_enumerable("decoder 'ml'", labels)
     if DECODERS[decoder.name].needs_box and preproc.boundary != "constrained":
         raise ConfigError(f"decoder {decoder.name!r} needs the preproc field 'boundary' "
                           f"to be 'constrained'")
@@ -300,7 +316,11 @@ def parse_config(d):
     cfg.preproc = parse_preproc(cfg.preproc)
     cfg.decoder = parse_decoder(cfg.decoder)
     cfg.snr_grid_db = tuple(float(s) for s in cfg.snr_grid_db)
-    check_decoder(cfg.decoder, cfg.preproc, _KIND_OF_CONFIG[type(cfg.channel)].dim(cfg.channel))
+    kind = _KIND_OF_CONFIG[type(cfg.channel)]
+    labels = kind.labels(cfg.channel)
+    check_decoder(cfg.decoder, cfg.preproc, kind.dim(cfg.channel), labels)
+    if cfg.shadow_oracle:
+        _check_enumerable("config field 'shadow_oracle'", labels)
     return cfg
 
 
@@ -341,7 +361,8 @@ def decode_frame(instance, problem, dec: DecoderSpec, on_node=None):
     """Decode one preprocessed frame with the configured decoder.
 
     problem is the frame's TreeProblem for a tree search; for exhaustive
-    ML it is an oracle.MlPlan of the frame's channel, or None to build one.
+    ML it is an oracle.MlPlan of the frame's channel, or None to build one
+    for this call only, which streams the candidates and stores none.
     Every branch-and-bound decoder runs through search.restart_schedule,
     which relaxes a finite bound while the search space is empty and makes
     one attempt otherwise.  on_node goes to the tree search, which calls it

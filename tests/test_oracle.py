@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from reference import (OracleBox, PohstBudget, babai_box, box_clps, enumerate_node_set,
@@ -59,11 +61,12 @@ ISI_TAPS = (0.848, -0.424, 0.2545, -0.1696, 0.0848)
 
 
 def _assert_plan_matches_reference(inst, plan):
-    res = oracle.exhaustive_ml(inst, plan)
+    # the call with the plan and the one-shot call, which builds its own
     label, distance, tie = exhaustive_ml_loop(inst)
-    assert np.array_equal(res.label, label)
-    assert res.distance == distance
-    assert res.tie == tie
+    for res in (oracle.exhaustive_ml(inst, plan), oracle.exhaustive_ml(inst)):
+        assert np.array_equal(res.label, label)
+        assert res.distance == distance
+        assert res.tie == tie
 
 
 @pytest.mark.parametrize("snr_db", [4.0, 10.0])
@@ -92,6 +95,34 @@ def test_ml_plan_on_fixed_vblast_hypercube_matches_reference():
         assert plan.candidates is None  # a hypercube is enumerated per call
 
 
+def test_ml_streams_candidates_until_a_plan_is_reused(monkeypatch):
+    # the plan a one-shot call builds and a plan used once store no candidate
+    # outputs; a reused plan stores them read-only, and every use matches the
+    # reference
+    plans = []
+
+    class RecordedPlan(oracle.MlPlan):
+        def __init__(self, H, code):
+            super().__init__(H, code)
+            plans.append(self)
+
+    cfg = latdec.IsiConfig(taps=ISI_TAPS, frame_len=24, gen_polys=(5, 7), rho=10.0)
+    insts = [latdec.build_isi_instance(cfg, latdec.frame_rng(9, 1, f)) for f in range(3)]
+    monkeypatch.setattr(oracle, "MlPlan", RecordedPlan)
+    oracle.exhaustive_ml(insts[0])
+    monkeypatch.undo()
+    assert len(plans) == 1 and plans[0].candidates is None
+    plan = oracle.MlPlan(insts[0].H, insts[0].code)
+    _assert_plan_matches_reference(insts[0], plan)
+    assert plan.candidates is None
+    for inst in insts[1:]:
+        _assert_plan_matches_reference(inst, plan)
+        assert len(plan.candidates) == 1  # 1024 codewords, one chunk
+    outputs = plan.candidates[0][1]
+    with pytest.raises(ValueError, match="read-only"):
+        outputs[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("rest, order", [(0.5, None), (-1.0, None), (-1.0, "descending"),
                                          (0.5, "shuffled")],
                          ids=["0.5", "-1.0", "-1.0-explicit-descending", "0.5-explicit-shuffled"])
@@ -114,9 +145,10 @@ def test_ml_plan_ties_across_chunks_match_reference(rest, order):
     received[0] = 0.5
     inst = latdec.ChannelInstance(H=np.eye(m), code=code, x_true=np.zeros(m, dtype=int),
                                   received=received)
-    res = oracle.exhaustive_ml(inst, oracle.MlPlan(inst.H, inst.code))
+    plan = oracle.MlPlan(inst.H, inst.code)
+    res = oracle.exhaustive_ml(inst, plan)
     assert res.tie and not res.label.any()
-    _assert_plan_matches_reference(inst, oracle.MlPlan(inst.H, inst.code))
+    _assert_plan_matches_reference(inst, plan)  # the plan's second use
 
 
 def test_exhaustive_ml_rejects_non_finite_inputs():
@@ -126,6 +158,8 @@ def test_exhaustive_ml_rejects_non_finite_inputs():
     H[0, 0] = np.nan
     with pytest.raises(ValueError, match="^H: non-finite entries$"):
         oracle.MlPlan(H, inst.code)
+    with pytest.raises(ValueError, match="^H: non-finite entries$"):
+        oracle.exhaustive_ml(replace(inst, H=H))
     inst.received[1] = np.inf
     with pytest.raises(ValueError, match="^received: non-finite entries$"):
         oracle.exhaustive_ml(inst)

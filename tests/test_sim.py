@@ -51,6 +51,8 @@ ISI_ML_CHANNEL = {"type": "isi", "taps": [0.848, -0.424, 0.2545, -0.1696, 0.0848
                   "frame_len": 12, "gen_polys": [5, 7]}
 BOX = {"left": "zf", "right": "none", "boundary": "constrained"}
 LD_1X1 = {"type": "ld", "M": 1, "N": 1, "T": 1}
+ISI_UNLISTED = {"type": "isi", "taps": [1.0, 0.5], "frame_len": 40, "gen_polys": [5, 7]}
+VBLAST_11 = {"type": "vblast", "M": 11, "N": 11, "Q": 2}
 
 
 def _tiny_plan():
@@ -139,6 +141,20 @@ def _with_nan(a):
      "'generator_seed'"),
     (lambda: _base_config(channel=dict(LD_1X1, generator=[[[1, 0]]], generator_seed=3)),
      ConfigError, "'generator_seed'"),
+    # exhaustive ML cannot enumerate 2^18 codewords (past EXPLICIT_LABEL_LIMIT, so
+    # unconstrained) nor the 4^11 labels of VBLAST 11x11 (past ENUM_GUARD)
+    (lambda: _base_config(channel=ISI_UNLISTED, decoder={"name": "ml"}), ConfigError,
+     "^decoder 'ml' .* an unconstrained information set$"),
+    (lambda: _base_config(channel=VBLAST_11, decoder={"name": "ml"}), ConfigError,
+     "^decoder 'ml' .* 4194304 labels$"),
+    (lambda: _base_config(channel=ISI_UNLISTED, shadow_oracle=True), ConfigError,
+     "^config field 'shadow_oracle' "),
+    (lambda: _base_config(channel=VBLAST_11, shadow_oracle=True), ConfigError,
+     "^config field 'shadow_oracle' "),
+    (lambda: _base_config(channel=ISI_UNLISTED, decoder=FANO, shadow_oracle=True),
+     ConfigError, "^config field 'shadow_oracle' "),
+    (lambda: _base_config(channel=VBLAST_11, decoder=FANO, shadow_oracle=True), ConfigError,
+     "^config field 'shadow_oracle' "),
     (lambda: _tiny_plan()[1].problem_for(_with_nan(_tiny_plan()[0].received)),
      ValueError, "^received"),
     (lambda: latdec.prepare_tree(_with_nan(_tiny_plan()[0].H), _tiny_plan()[0].code),
@@ -157,12 +173,30 @@ def _with_nan(a):
         "ld-generator-scalar",
         "ld-generator-shape", "ld-generator-ragged", "vblast-M-missing",
         "ld-generator-seed-negative", "ld-generator-seed-fraction",
-        "ld-generator-and-seed", "received-nan", "H-nan"])
+        "ld-generator-and-seed", "ml-isi-unlisted", "ml-vblast-11", "shadow-se-isi-unlisted",
+        "shadow-se-vblast-11", "shadow-fano-isi-unlisted", "shadow-fano-vblast-11",
+        "received-nan", "H-nan"])
 def test_bad_input_fails_early_naming_the_field(build, error, match):
     with pytest.raises(error, match=match):
         built = build()
         if isinstance(built, dict):
             sim.parse_config(built)
+
+
+def test_ml_parses_up_to_the_enumeration_guard():
+    # 4^10 = ENUM_GUARD labels, and the 2^16 codewords an ISI code still lists
+    for channel in ({"type": "vblast", "M": 10, "N": 10, "Q": 2},
+                    dict(ISI_UNLISTED, frame_len=36)):
+        sim.parse_config(_base_config(channel=channel, decoder={"name": "ml"},
+                                      shadow_oracle=True))
+
+
+def test_cli_shadow_oracle_flag_is_checked_at_parse_time(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_base_config(channel=VBLAST_11, trials=1)))
+    with pytest.raises(ConfigError, match="^config field 'shadow_oracle' "):
+        cli.main(["simulate", str(p), "--shadow-oracle", "--out", str(tmp_path / "o.csv")])
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_zero_trials_gives_empty_rows():
@@ -570,6 +604,9 @@ def test_cli_decode_rejects_what_parse_config_rejects(tmp_path):
         (dict(full, decoder={"name": "ml"}, instance=dict(
             inst, info_set={"kind": "explicit", "labels": [[0, 1, 0], [1, 1, 0]]})),
          "^instance field 'info_set' has labels 3 wide, not the code dimension 4$"),
+        (dict(full, decoder={"name": "ml"},
+              instance=dict(inst, info_set={"kind": "unconstrained"})),
+         "^decoder 'ml' .* an unconstrained information set$"),
     ]
     nan_h = [row[:] for row in inst["H"]]
     nan_h[0][0] = math.nan
