@@ -10,11 +10,12 @@ generates the same integer lattice as the input.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import qr_decompose
+from .linalg import qr_decompose, triangular_columns
 
 _INT64_SAFE = 2.0 ** 62  # int64 holds 2**63 - 1; results bounded by half that are safe
 
@@ -28,10 +29,10 @@ def _int_array(rows):
         return np.array(rows, dtype=object)
 
 
-def _exact_matmul(A, B):
+def _exact_matmul(A, B, max_abs_a=None):
     """A @ B of integer arrays: in int64 when no sum can overflow, else in Python ints."""
     if A.dtype == np.int64 and B.dtype == np.int64 and A.size and B.size:
-        if A.shape[1] * _max_abs(A) * _max_abs(B) < _INT64_SAFE:
+        if A.shape[1] * (max_abs_a or _max_abs(A)) * _max_abs(B) < _INT64_SAFE:
             return A @ B
     return A.astype(object) @ B.astype(object)
 
@@ -39,19 +40,26 @@ def _exact_matmul(A, B):
 def _max_abs(A):
     """Largest |entry| of an int64 array, as a float.  np.abs(-2**63) wraps
     to -2**63, whose uint64 view is the true magnitude 2**63."""
-    return float(np.abs(A).view(np.uint64).max())
+    return float(np.abs(A).view(np.uint64).max(initial=0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnimodularRecord:
     """Exact integer change-of-basis pair with T @ T_inv == I.
 
     Entries are int64, or Python ints in object arrays where int64 could
-    overflow.
+    overflow.  Both are read-only, so inverse_times bounds |T_inv| once.
     """
 
     T: np.ndarray
     T_inv: np.ndarray
+
+    def __post_init__(self):
+        self.T.flags.writeable = self.T_inv.flags.writeable = False
+
+    @cached_property
+    def _t_inv_max(self):
+        return _max_abs(self.T_inv) if self.T_inv.dtype == np.int64 else None
 
     @classmethod
     def identity(cls, n):
@@ -63,7 +71,7 @@ class UnimodularRecord:
 
     def inverse_times(self, z):
         """T_inv @ z, exactly, for a sequence z of integers."""
-        return _exact_matmul(self.T_inv, _int_array(z))
+        return _exact_matmul(self.T_inv, _int_array(z), self._t_inv_max)
 
 
 @dataclass
@@ -153,46 +161,38 @@ def lll_reduce(B, delta=0.99, deep=False):
 
     The reduction runs on the triangular factor R of B = Q R (effective
     LLL, Ling and Howgrave-Graham, ISIT 2007): an upper-triangular B with a
-    positive diagonal is its own R, and any other B is factored once.  One
-    loop serves both variants.  The adjacent step size-reduces only the
-    entry r_{k-1,k} that the Lovasz test reads and swaps columns k-1 and k
-    when delta * r_{k-1,k-1}^2 > r_{k-1,k}^2 + r_{k,k}^2.  The deep branch
-    size-reduces the whole column k and inserts it at the first position
-    whose test fails.  A column insertion (a swap is an insertion one place
-    back) is undone by Givens rotations.  One full size reduction at the
-    end gives the same basis as size-reducing everything inside the loop.
-    The records are kept in Python ints while the loop runs, so they are
-    exact.
+    positive diagonal is its own R, and any other B is factored once.  The
+    plain step size-reduces only the entry r_{k-1,k} that the Lovasz test
+    reads and, when delta * r_{k-1,k-1}^2 > r_{k-1,k}^2 + r_{k,k}^2, swaps
+    columns k-1 and k in place and restores R by one Givens rotation.  The
+    deep step size-reduces the whole column k, inserts it at the first
+    position whose test fails and undoes the insertion by Givens rotations.
+    One full size reduction at the end gives the same basis as
+    size-reducing everything inside the loop.  The records are kept in
+    Python ints while the loop runs, so they are exact.
     """
     if not 0.25 < delta <= 1.0:
         raise ValueError("delta must lie in (0.25, 1]")
     B = np.asarray(B, dtype=float)
     n = B.shape[1]
-    if B.shape == (n, n) and np.all(np.diag(B) > 0) and not np.tril(B, -1).any():
-        R = B.T.tolist()
-    else:
+    R = triangular_columns(B)
+    if R is None:
         R = qr_decompose(B)[1].T.tolist()  # raises RankDeficient
     # R[c] is column c of the triangular factor; Ti[c] is column c of T_inv
     # and T[c] row c of T, so moving a basis column moves one list each
     unit = [0] * (n - 1) + [1] + [0] * (n - 1)  # unit[n-1-c:][:n] is e_c
     Ti = [unit[n - 1 - c:2 * n - 1 - c] for c in range(n)]
     T = [unit[n - 1 - c:2 * n - 1 - c] for c in range(n)]
-
-    def subtract(k, j, q):
-        # basis column k -= q * column j
-        Rk = R[k]
-        Rk[:j + 1] = [a - q * b for a, b in zip(Rk, R[j][:j + 1])]
-        Ti[k] = [a - q * b for a, b in zip(Ti[k], Ti[j])]
-        T[j] = [a + q * b for a, b in zip(T[j], T[k])]
-
     k = 1
     while k < n:
         Rk = R[k]
         if deep:
             for j in range(k - 1, -1, -1):
                 q = round(Rk[j] / R[j][j])
-                if q:
-                    subtract(k, j, q)
+                if q:  # basis column k -= q * column j
+                    Rk[:j + 1] = [a - q * b for a, b in zip(Rk, R[j][:j + 1])]
+                    Ti[k] = [a - q * b for a, b in zip(Ti[k], Ti[j])]
+                    T[j] = [a + q * b for a, b in zip(T[j], T[k])]
             # insert column k at the first position i where the squared length
             # of its projection orthogonal to columns 0..i-1 is below delta * r_ii^2
             c = sum(v * v for v in Rk[:k + 1])
@@ -203,39 +203,51 @@ def lll_reduce(B, delta=0.99, deep=False):
             else:
                 k += 1
                 continue
+            # move basis column k to position i; column i of R then has a spike
+            # in rows i+1..k, cleared by rotating row pairs from the bottom up
+            for lst in (R, Ti, T):
+                lst.insert(i, lst.pop(k))
+            Ri = R[i]
+            for r in range(k, i, -1):
+                r1 = r - 1
+                a, b = Ri[r1], Ri[r]
+                rho = math.hypot(a, b)  # > 0: b is r_kk, then the previous rho
+                c, s = a / rho, b / rho
+                for col in R[i:]:
+                    u, v = col[r1], col[r]
+                    col[r1], col[r] = c * u + s * v, c * v - s * u
+                Ri[r] = 0.0
         else:
             i = k - 1
-            d = R[i][i]
+            Ri = R[i]
+            d = Ri[i]
             q = round(Rk[i] / d)
             if q:
-                subtract(k, i, q)
+                Rk[:k] = [a - q * b for a, b in zip(Rk, Ri[:k])]
+                Ti[k] = [a - q * b for a, b in zip(Ti[k], Ti[i])]
+                T[i] = [a + q * b for a, b in zip(T[i], T[k])]
             x, y = Rk[i], Rk[k]
             if not delta * d ** 2 > x * x + y * y:
                 k += 1
                 continue
-        # move basis column k to position i; column i of R then has a spike
-        # in rows i+1..k, cleared by rotating row pairs from the bottom up
-        for lst in (R, Ti, T):
-            lst.insert(i, lst.pop(k))
-        Ri = R[i]
-        for r in range(k, i, -1):
-            r1 = r - 1
-            a, b = Ri[r1], Ri[r]
-            rho = math.hypot(a, b)  # > 0: b is r_kk, then the previous rho
-            c, s = a / rho, b / rho
-            for col in R[i:]:
-                u = col[r1]
-                v = col[r]
-                col[r1] = c * u + s * v
-                col[r] = c * v - s * u
-            Ri[r] = 0.0
+            R[i], R[k], Ti[i], Ti[k], T[i], T[k] = Rk, Ri, Ti[k], Ti[i], T[k], T[i]
+            rho = math.hypot(x, y)  # > 0: y is r_kk
+            c, s = x / rho, y / rho
+            Rk[i], Rk[k] = c * x + s * y, 0.0
+            for col in R[k:]:
+                u, v = col[i], col[k]
+                col[i], col[k] = c * u + s * v, c * v - s * u
         k = max(i, 1)
     for j in range(n - 2, -1, -1):
-        d = R[j][j]
+        Rj, Tij, Tj = R[j][:j + 1], Ti[j], T[j]
+        d = Rj[j]
         for k in range(j + 1, n):
             q = round(R[k][j] / d)
             if q:
-                subtract(k, j, q)
+                R[k][:j + 1] = [a - q * b for a, b in zip(R[k], Rj)]
+                Ti[k] = [a - q * b for a, b in zip(Ti[k], Tij)]
+                Tj = [a + q * b for a, b in zip(Tj, T[k])]
+        T[j] = Tj
     record = UnimodularRecord(T=_int_array(T), T_inv=_int_array(Ti).T.copy())
     if not record.verify():
         raise ArithmeticError("LLL records are not inverse to each other")

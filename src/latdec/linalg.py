@@ -36,4 +36,18 @@ def qr_decompose(A):
 def complex_to_real_matrix(M):
     """Embed a complex matrix as the 2x2-block real matrix [[Re,-Im],[Im,Re]]."""
     M = np.asarray(M, dtype=complex)
-    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+    n, m = M.shape
+    out = np.empty((2 * n, 2 * m))
+    out[:n, :m] = out[n:, m:] = M.real
+    out[:n, m:], out[n:, :m] = -M.imag, M.imag
+    return out
+
+
+def triangular_columns(A):
+    """A's columns as lists if A is square upper triangular, positive on its diagonal; else None."""
+    n = A.shape[1]
+    if A.shape == (n, n):
+        cols = A.T.tolist()
+        if all(c[j] > 0.0 and not any(c[j + 1:]) for j, c in enumerate(cols)):
+            return cols
+    return None

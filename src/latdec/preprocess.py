@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IncompatibleBoundary, RankDeficient
 from .lattice import LatticeCode, UnimodularRecord
-from .linalg import qr_decompose
+from .linalg import qr_decompose, triangular_columns
 
 LEFT_MODES = ("zf", "mmse")
 RIGHT_MODES = ("none", "lll", "permute", "lll+permute")
@@ -127,12 +127,9 @@ def right_preprocess(A, mode="none", lll_delta=0.99, lll_deep=False):
         perm = vblast_greedy_order(work)
         work = work[:, perm]
         record = UnimodularRecord(T=record.T[perm], T_inv=record.T_inv[:, perm])
-    if work.shape[0] == m and np.all(np.diag(work) > 0) \
-            and not np.tril(work, -1).any():
-        Q, R = np.eye(m), work  # already upper triangular, QR is trivial
-    else:
-        Q, R = qr_decompose(work)
-    return Q, R, record
+    if triangular_columns(work) is not None:
+        return np.eye(m), work, record  # already upper triangular, QR is trivial
+    return (*qr_decompose(work), record)
 
 
 def apply_back_map(label, back_map):

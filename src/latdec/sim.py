@@ -488,7 +488,7 @@ def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limi
     results = [[] for _ in cfgs]
     shadow = [0] * len(cfgs)
     for inst in insts:
-        ml_res = None
+        ml_dist = None  # the frame's ML distance, from an ml decode or one oracle call
         if not static_channel:
             plans.clear()
         for ci, cfg in enumerate(cfgs):
@@ -500,11 +500,13 @@ def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limi
                 problem = plans[cfg.preproc].problem_for(inst.received)
             res = decode_frame(inst, problem, cfg.decoder)
             results[ci].append(res)
+            if cfg.decoder.name == "ml":
+                ml_dist = res.distance
             if cfg.shadow_oracle:
-                if ml_res is None:
-                    ml_res = oracle.exhaustive_ml(inst, _ml_plan(plans, inst))
+                if ml_dist is None:
+                    ml_dist = oracle.exhaustive_ml(inst, _ml_plan(plans, inst)).distance
                 d_dec = _channel_distance(inst, res.info)
-                shadow[ci] += d_dec > ml_res.distance * (1 + 1e-9) + 1e-9
+                shadow[ci] += d_dec > ml_dist * (1 + 1e-9) + 1e-9
     # tally; the configs share the channel, so Q and info_len hold for all
     q, bits = base.channel.Q, _bits_per_symbol(base.channel.Q)
     info_len = insts[0].info_len or insts[0].code.dim

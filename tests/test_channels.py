@@ -155,6 +155,20 @@ def test_isi_instances_share_one_read_only_code():
             shared *= 2
 
 
+def test_vblast_instances_share_one_read_only_pam_code():
+    cfg = latdec.VblastConfig(M=2, N=3, Q=4)
+    a = latdec.sample_vblast(cfg, latdec.frame_rng(8, 0))
+    b = latdec.sample_vblast(latdec.VblastConfig(M=2, N=1, Q=4, rho=3.0), latdec.frame_rng(8, 1))
+    assert a.code is b.code and a.code.info_set.kind == "hypercube" and a.code.info_set.q == 4
+    for shared in (a.code.generator, a.code.translate):
+        with pytest.raises(ValueError):
+            shared[0] = 1
+        with pytest.raises(ValueError):
+            shared *= 2
+    c = latdec.sample_vblast(latdec.VblastConfig(M=2, N=3, Q=2), latdec.frame_rng(8, 0))
+    assert c.code is not a.code and c.code.info_set.q == 2
+
+
 def test_isi_invalid_taps():
     with pytest.raises(InvalidTaps):
         latdec.IsiConfig(taps=(), frame_len=4)

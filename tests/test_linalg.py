@@ -57,6 +57,22 @@ def test_embed_matrix_examples():
     assert np.array_equal(complex_to_real_matrix([[1 + 2j]]), [[1, -2], [2, 1]])
 
 
+def test_embed_matrix_matches_the_block_form():
+    rng = np.random.default_rng(11)
+    for n, m in ((1, 1), (3, 2), (2, 5), (8, 8)):
+        parts = rng.standard_normal((2, n, m))
+        parts[rng.random((2, n, m)) < 0.3] = 0.0
+        parts[rng.random((2, n, m)) < 0.3] = -0.0
+        M = np.empty((n, m), dtype=complex)
+        M.real, M.imag = parts
+        want = np.block([[M.real, -M.imag], [M.imag, M.real]])
+        got = complex_to_real_matrix(M)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+    assert complex_to_real_matrix([[complex(-0.0, -0.0)]]).tobytes() \
+        == np.array([[-0.0, 0.0], [-0.0, -0.0]]).tobytes()
+
+
 def test_embed_vector_examples():
     assert np.array_equal(complex_to_real_vector([1j]), [0, 1])
     assert np.array_equal(complex_to_real_vector([1 + 2j, 3]), [1, 3, 2, 0])

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import latdec
 from latdec.errors import IncompatibleBoundary, RankDeficient
 from latdec.lattice import InfoSet, LatticeCode, lll_reduce
-from latdec.linalg import complex_to_real_matrix, qr_decompose
+from latdec.linalg import complex_to_real_matrix, qr_decompose, triangular_columns
 from latdec.preprocess import (apply_back_map, form_tree, left_preprocess,
                                right_preprocess, vblast_greedy_order)
 from reference import greedy_order_pinv, sparsity_index
@@ -334,6 +336,37 @@ def _oracle_bases():
         for _ in range(40):
             yield rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3), 0.99, False
     yield np.array([[1.0, 1e19], [0.0, 1.0]]), 0.99, False  # records beyond int64
+    # at the edge of the "own R" test: upper triangular with a zero, a negative
+    # or a NaN diagonal entry, or with a -0.0 (still triangular) or a subnormal
+    # (no longer triangular) below the diagonal
+    mmse = left_preprocess(latdec.sample_vblast(cfg, latdec.frame_rng(48, 0)).H, "mmse").R1
+    for n in (1, 2, 5, 8):
+        U = np.triu(rng.standard_normal((n, n))) + 3.0 * np.eye(n)
+        for i in range(n):
+            for v in (0.0, -U[i, i], np.nan):
+                V = U.copy()
+                V[i, i] = v
+                yield V, 0.99, False
+        for j in range(n - 1):
+            for v in (-0.0, 5e-324):
+                V = U.copy()
+                V[n - 1, j] = v
+                yield V, 0.99, False
+    for v in (-0.0, 5e-324):
+        V = mmse * 2.0
+        V[np.tril_indices(16, -1)] = v
+        yield V, 0.99, False
+        yield V, 0.99, True
+    # 24-dimensional ISI (5,7) MMSE bases, not triangular; a static channel,
+    # so one basis per SNR
+    isi = latdec.IsiConfig(taps=(0.848, -0.424, 0.2545, -0.1696, 0.0848), frame_len=24,
+                           gen_polys=(5, 7))
+    for db in np.arange(0.0, 13.0, 1.5):
+        inst = latdec.build_isi_instance(replace(isi, rho=10.0 ** (db / 10)),
+                                         latdec.frame_rng(49, 0))
+        B = left_preprocess(inst.H, "mmse").R1 @ inst.code.generator
+        yield B, 0.99, False
+        yield B, 0.75, db > 6
 
 
 def _oracle_plan_streams():
@@ -354,27 +387,53 @@ def _qr_or_none(qr, A):
         return None
 
 
+def _result_or_error(fn, *args):
+    """fn(*args), or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err)
+
+
+def _same_result(got, want):
+    """Equal results bit for bit (NaN equal to NaN), or the same exception type."""
+    if isinstance(want, type):
+        assert got is want
+        return
+    for a, b in zip(got, want):
+        if isinstance(b, latdec.UnimodularRecord):
+            _same_record(a, b)
+        else:
+            assert np.array_equal(a, b, equal_nan=True)
+
+
 def test_preprocessing_is_bit_identical_to_its_oracles(monkeypatch):
     from latdec import preprocess
     from reference import (greedy_order_outer, lll_reduce_scan, qr_decompose_signs,
                            right_preprocess_composed)
 
-    bases = 0
+    bases = raised = 0
     for B, delta, deep in _oracle_bases():
-        red, rec = lll_reduce(B, delta=delta, deep=deep)
-        red0, rec0 = lll_reduce_scan(B, delta=delta, deep=deep)
-        _same_record(rec, rec0)
-        assert np.array_equal(red, red0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # the 1e19 basis
-            for A in (B, red):
-                assert vblast_greedy_order(A) == greedy_order_outer(A)
-            if B.shape[1] <= 2:  # the permutation composed with Python-int records too
-                Q, R, r = right_preprocess(B, "lll+permute", delta, deep)
-                Q0, R0, r0 = right_preprocess_composed(B, "lll+permute", delta, deep)
-                assert np.array_equal(Q, Q0) and np.array_equal(R, R0)
-                _same_record(r, r0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the 1e19 and NaN bases
+            got = _result_or_error(lll_reduce, B, delta, deep)
+            want = _result_or_error(lll_reduce_scan, B, delta, deep)
+            _same_result(got, want)
+            for A in (B,) if isinstance(want, type) else (B, want[0]):
+                if np.isfinite(A).all():  # the oracle fails apart on NaN gains
+                    assert (_result_or_error(vblast_greedy_order, A)
+                            == _result_or_error(greedy_order_outer, A))
+            own_r = B.shape[0] == B.shape[1] and np.all(np.diag(B) > 0) \
+                and not np.tril(B, -1).any()
+            assert (triangular_columns(B) is not None) == own_r
+            # the two QRs sign a NaN column apart, so a NaN basis meets only the test above
+            modes = ("none", "lll+permute") if B.shape[1] <= 2 else ("none",)
+            for mode in modes if np.isfinite(B).all() else ():
+                # the permutation composed with Python-int records too
+                _same_result(_result_or_error(right_preprocess, B, mode, delta, deep),
+                             _result_or_error(right_preprocess_composed, B, mode, delta, deep))
         bases += 1
-    assert bases > 900
+        raised += isinstance(want, type)
+    assert bases > 1000 and 0 < raised < 100
     rng = np.random.default_rng(46)
     rejected = 0
     for _ in range(200):  # around the QR's rank threshold both must decide alike

@@ -418,6 +418,38 @@ def test_shadow_oracle_agrees_with_ml_path():
     assert sum(p.shadow_disagreements for p in report.points) == 0
 
 
+def test_ml_decode_is_its_frames_shadow_oracle(monkeypatch):
+    from latdec import oracle
+    calls = []
+    exhaustive_ml = oracle.exhaustive_ml
+    monkeypatch.setattr(oracle, "exhaustive_ml",
+                        lambda *args: calls.append(args) or exhaustive_ml(*args))
+    ml = {"name": "ml"}
+
+    def sweep(shadow):
+        calls.clear()
+        cfg = sim.parse_config(_base_config(decoder=ml, trials=10, snr_grid_db=[6.0],
+                                            shadow_oracle=shadow))
+        return sim.run_sweep(cfg), len(calls)
+
+    (plain, plain_calls), (shadowed, shadowed_calls) = sweep(False), sweep(True)
+    assert plain_calls == shadowed_calls == 10
+    assert shadowed.to_csv() == plain.to_csv()
+    assert [p.shadow_disagreements for p in shadowed.points] == [0]
+    # the per-decode form calls the oracle again for each shadow check; the
+    # counts agree, with a tree decoder's shadow check on the same frames too
+    cfgs = [sim.parse_config(_base_config(decoder=d, snr_grid_db=[6.0], shadow_oracle=True))
+            for d in (ml, FANO)]
+    calls.clear()
+    got = sim._run_frames(cfgs, 6.0, 0, 0, 10, True, 10)
+    assert len(calls) == 10
+    want = run_frames_per_decode(cfgs, 6.0, 0, 0, 10, True, 10)
+    assert len(calls) == 30
+    for a, b in zip(got[0], want[0]):
+        assert repr(a) == repr(b)
+    assert repr(got[1:]) == repr(want[1:])
+
+
 def test_compare_same_decoder_twice_identical():
     cfg = sim.parse_config(_base_config(trials=80, snr_grid_db=[9.0]))
     cfg2 = sim.parse_config(_base_config(trials=80, snr_grid_db=[9.0]))
