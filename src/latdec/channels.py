@@ -228,9 +228,16 @@ def _poly_bits(p):
     constraint length (e.g. octal 4672 has memory 10, 1024 states).
     """
     val = int(str(p), 8)
-    if val < 0:
+    if val < 0:  # its right shifts would never reach 0
         raise ValueError(f"generator polynomial {p!r} is negative")
-    return [int(b) for b in bin(val)[2:].rstrip("0")] or [0]
+    bits = []
+    while val:
+        bits.append(val & 1)
+        val >>= 1
+    bits = bits[::-1]
+    while bits and bits[-1] == 0:
+        bits.pop()
+    return bits or [0]
 
 
 def conv_info_len(gen_polys, frame_len):
@@ -256,9 +263,13 @@ def conv_generator_matrix(gen_polys, info_len):
     k = info_len
     m = n_out * (k + mem)
     M = np.zeros((m, k), dtype=int)
-    for p, tap in enumerate(taps):
-        for d in np.flatnonzero(tap):  # info bit i reaches output p at time i + d
-            M[(np.arange(k) + d) * n_out + p, np.arange(k)] = 1
+    for t in range(k + mem):
+        for p, tap in enumerate(taps):
+            row = t * n_out + p
+            for d, bit in enumerate(tap):
+                i = t - d
+                if bit and 0 <= i < k:
+                    M[row, i] = 1
     return M
 
 
@@ -271,10 +282,13 @@ def gf2_row_reduce(M):
     for c in range(cols):
         if r >= rows:
             break
-        nonzero = np.flatnonzero(A[r:, c])
-        if nonzero.size == 0:
+        pivot = None
+        for i in range(r, rows):
+            if A[i, c]:
+                pivot = i
+                break
+        if pivot is None:
             continue
-        pivot = r + int(nonzero[0])
         if pivot != r:
             A[[pivot, r]] = A[[r, pivot]]
         for i in range(rows):

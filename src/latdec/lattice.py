@@ -10,7 +10,6 @@ generates the same integer lattice as the input.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -29,10 +28,10 @@ def _int_array(rows):
         return np.array(rows, dtype=object)
 
 
-def _exact_matmul(A, B, max_abs_a=None):
+def _exact_matmul(A, B):
     """A @ B of integer arrays: in int64 when no sum can overflow, else in Python ints."""
     if A.dtype == np.int64 and B.dtype == np.int64 and A.size and B.size:
-        if A.shape[1] * (max_abs_a or _max_abs(A)) * _max_abs(B) < _INT64_SAFE:
+        if A.shape[1] * _max_abs(A) * _max_abs(B) < _INT64_SAFE:
             return A @ B
     return A.astype(object) @ B.astype(object)
 
@@ -40,26 +39,19 @@ def _exact_matmul(A, B, max_abs_a=None):
 def _max_abs(A):
     """Largest |entry| of an int64 array, as a float.  np.abs(-2**63) wraps
     to -2**63, whose uint64 view is the true magnitude 2**63."""
-    return float(np.abs(A).view(np.uint64).max(initial=0))
+    return float(np.abs(A).view(np.uint64).max())
 
 
-@dataclass(frozen=True)
+@dataclass
 class UnimodularRecord:
     """Exact integer change-of-basis pair with T @ T_inv == I.
 
     Entries are int64, or Python ints in object arrays where int64 could
-    overflow.  Both are read-only, so inverse_times bounds |T_inv| once.
+    overflow.
     """
 
     T: np.ndarray
     T_inv: np.ndarray
-
-    def __post_init__(self):
-        self.T.flags.writeable = self.T_inv.flags.writeable = False
-
-    @cached_property
-    def _t_inv_max(self):
-        return _max_abs(self.T_inv) if self.T_inv.dtype == np.int64 else None
 
     @classmethod
     def identity(cls, n):
@@ -71,7 +63,7 @@ class UnimodularRecord:
 
     def inverse_times(self, z):
         """T_inv @ z, exactly, for a sequence z of integers."""
-        return _exact_matmul(self.T_inv, _int_array(z), self._t_inv_max)
+        return _exact_matmul(self.T_inv, _int_array(z))
 
 
 @dataclass
@@ -183,16 +175,22 @@ def lll_reduce(B, delta=0.99, deep=False):
     unit = [0] * (n - 1) + [1] + [0] * (n - 1)  # unit[n-1-c:][:n] is e_c
     Ti = [unit[n - 1 - c:2 * n - 1 - c] for c in range(n)]
     T = [unit[n - 1 - c:2 * n - 1 - c] for c in range(n)]
+
+    def subtract(k, j, q):
+        # basis column k -= q * column j
+        Rk = R[k]
+        Rk[:j + 1] = [a - q * b for a, b in zip(Rk, R[j][:j + 1])]
+        Ti[k] = [a - q * b for a, b in zip(Ti[k], Ti[j])]
+        T[j] = [a + q * b for a, b in zip(T[j], T[k])]
+
     k = 1
     while k < n:
         Rk = R[k]
         if deep:
             for j in range(k - 1, -1, -1):
                 q = round(Rk[j] / R[j][j])
-                if q:  # basis column k -= q * column j
-                    Rk[:j + 1] = [a - q * b for a, b in zip(Rk, R[j][:j + 1])]
-                    Ti[k] = [a - q * b for a, b in zip(Ti[k], Ti[j])]
-                    T[j] = [a + q * b for a, b in zip(T[j], T[k])]
+                if q:
+                    subtract(k, j, q)
             # insert column k at the first position i where the squared length
             # of its projection orthogonal to columns 0..i-1 is below delta * r_ii^2
             c = sum(v * v for v in Rk[:k + 1])
@@ -214,23 +212,22 @@ def lll_reduce(B, delta=0.99, deep=False):
                 rho = math.hypot(a, b)  # > 0: b is r_kk, then the previous rho
                 c, s = a / rho, b / rho
                 for col in R[i:]:
-                    u, v = col[r1], col[r]
-                    col[r1], col[r] = c * u + s * v, c * v - s * u
+                    u = col[r1]
+                    v = col[r]
+                    col[r1] = c * u + s * v
+                    col[r] = c * v - s * u
                 Ri[r] = 0.0
         else:
             i = k - 1
-            Ri = R[i]
-            d = Ri[i]
+            d = R[i][i]
             q = round(Rk[i] / d)
             if q:
-                Rk[:k] = [a - q * b for a, b in zip(Rk, Ri[:k])]
-                Ti[k] = [a - q * b for a, b in zip(Ti[k], Ti[i])]
-                T[i] = [a + q * b for a, b in zip(T[i], T[k])]
+                subtract(k, i, q)
             x, y = Rk[i], Rk[k]
             if not delta * d ** 2 > x * x + y * y:
                 k += 1
                 continue
-            R[i], R[k], Ti[i], Ti[k], T[i], T[k] = Rk, Ri, Ti[k], Ti[i], T[k], T[i]
+            R[i], R[k], Ti[i], Ti[k], T[i], T[k] = Rk, R[i], Ti[k], Ti[i], T[k], T[i]
             rho = math.hypot(x, y)  # > 0: y is r_kk
             c, s = x / rho, y / rho
             Rk[i], Rk[k] = c * x + s * y, 0.0
@@ -239,15 +236,11 @@ def lll_reduce(B, delta=0.99, deep=False):
                 col[i], col[k] = c * u + s * v, c * v - s * u
         k = max(i, 1)
     for j in range(n - 2, -1, -1):
-        Rj, Tij, Tj = R[j][:j + 1], Ti[j], T[j]
-        d = Rj[j]
+        d = R[j][j]
         for k in range(j + 1, n):
             q = round(R[k][j] / d)
             if q:
-                R[k][:j + 1] = [a - q * b for a, b in zip(R[k], Rj)]
-                Ti[k] = [a - q * b for a, b in zip(Ti[k], Tij)]
-                Tj = [a + q * b for a, b in zip(Tj, T[k])]
-        T[j] = Tj
+                subtract(k, j, q)
     record = UnimodularRecord(T=_int_array(T), T_inv=_int_array(Ti).T.copy())
     if not record.verify():
         raise ArithmeticError("LLL records are not inverse to each other")
