@@ -114,8 +114,10 @@ class ChannelInstance:
 
     @classmethod
     def from_json(cls, text):
-        """Read a to_json record; a malformed field raises ConfigError naming it."""
-        rec = json.loads(text)
+        """Read a to_json record; a missing or malformed field raises
+        ConfigError naming it."""
+        rec = _fields("instance", json.loads(text),
+                      ("H", "generator", "translate", "info_set", "x_true", "received"))
         iset = rec["info_set"]
         if not isinstance(iset, dict) or "kind" not in iset:
             raise ConfigError("instance field 'info_set' must be an object with a 'kind'")
@@ -146,6 +148,16 @@ class ChannelInstance:
                               f"not the {len(H)} rows of H")
         return cls(H=H, code=code, x_true=x_true.astype(int), received=received,
                    info_len=rec.get("info_len"))
+
+
+def _fields(section, d, keys):
+    """d, once it is an object holding each of keys; else ConfigError."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be an object, got {d!r}")
+    for key in keys:
+        if key not in d:
+            raise ConfigError(f"missing {section} field {key!r}")
+    return d
 
 
 def _record_array(rec, key, ndim, section="instance"):

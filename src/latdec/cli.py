@@ -29,8 +29,7 @@ import sys
 import numpy as np
 
 from . import sim
-from .channels import ChannelInstance, _record_array
-from .errors import ConfigError
+from .channels import ChannelInstance, _fields, _record_array
 from .lattice import lll_reduce
 from .search import trace_lines
 
@@ -78,20 +77,8 @@ def cmd_compare(args):
     return 0
 
 
-def _fields(section, d, keys):
-    """d, once it is an object holding each of keys; else ConfigError."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{section} must be an object, got {d!r}")
-    for key in keys:
-        if key not in d:
-            raise ConfigError(f"missing {section} field {key!r}")
-    return d
-
-
 def cmd_decode(args):
     rec = _fields("decode record", _load_json(args.instance), ("instance", "decoder"))
-    _fields("instance", rec["instance"],
-            ("H", "generator", "translate", "info_set", "x_true", "received"))
     inst = ChannelInstance.from_json(json.dumps(rec["instance"]))
     pre = sim.parse_preproc(rec.get("preproc"))
     dec = sim.parse_decoder(rec["decoder"])

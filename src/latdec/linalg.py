@@ -27,7 +27,7 @@ def qr_decompose(A):
     # the largest column norm: sqrt is correctly rounded and monotone, so
     # sqrt(max) is max(sqrt), the value np.linalg.norm(A, axis=0).max() gives
     scale = math.sqrt((A * A).sum(axis=0).max()) if A.shape[1] else 0.0
-    if scale == 0.0 or np.abs(d).min() < QR_TOL * scale:
+    if not (scale > 0.0 and np.abs(d).min() >= QR_TOL * scale):  # so a NaN fails
         raise RankDeficient("R diagonal below rank tolerance")
     signs = np.where(d < 0.0, -1.0, 1.0)
     return Q * signs, R * signs[:, np.newaxis]

@@ -37,7 +37,6 @@ def enumerable(size):
 class MlResult:
     label: np.ndarray
     distance: float
-    tie: bool
 
 
 def _enumerate_labels(info_set, m):
@@ -108,15 +107,14 @@ def exhaustive_ml(instance, plan=None):
     None; that plan is used once, so it streams its candidates and stores
     none.  The candidates come in lexicographic order, so the first label
     at the least distance, the one kept, is the lexicographically smallest
-    of those tied; a tie is flagged in the result.  A non-finite received
-    vector raises ValueError.
+    of those tied.  A non-finite received vector raises ValueError.
     """
     if plan is None:
         plan = MlPlan(instance.H, instance.code)
     if not np.isfinite(instance.received).all():
         raise ValueError("received: non-finite entries")
     base = instance.received - plan.offset
-    best_d, best_label, tie = math.inf, None, False
+    best_d, best_label = math.inf, None
     for X, outputs in plan.chunks():
         # a chunk formed for this call becomes its residuals in place
         diff = np.subtract(base, outputs, out=outputs if outputs.flags.writeable else None)
@@ -124,7 +122,5 @@ def exhaustive_ml(instance, plan=None):
         i = int(np.argmin(dists))
         d = float(dists[i])
         if d < best_d:  # an earlier chunk keeps its label on an equal distance
-            best_d, best_label, tie = d, X[i].copy(), np.count_nonzero(dists == d) > 1
-        elif d == best_d:
-            tie = True
-    return MlResult(label=best_label, distance=best_d, tie=bool(tie))
+            best_d, best_label = d, X[i].copy()
+    return MlResult(label=best_label, distance=best_d)

@@ -74,16 +74,16 @@ def vblast_greedy_order(A):
     (Benesty, Huang and Chen, IEEE TSP 2003): O(m^3) in all.  Each step
     reads the diagonal once as Python floats, picks among the remaining
     columns there, and downdates P with one outer product; the column left
-    last is detected first without a step.  A basis that is rank deficient
-    in floating point, even where |diag R| does not show it, raises
-    RankDeficient: some downdated diagonal entry of P is then not positive
-    and finite.
+    last is detected first without a step.  A basis with a NaN entry
+    raises RankDeficient, and so does one that is rank deficient in
+    floating point even where |diag R| does not show it: some downdated
+    diagonal entry of P is then not positive and finite.
     """
     A = np.asarray(A, dtype=float)
     m = A.shape[1]
     R = np.linalg.qr(A, mode="r")
     d = np.abs(np.diag(R))
-    if R.shape[0] < m or d.min() <= d.max() * max(A.shape) * np.finfo(float).eps:
+    if R.shape[0] < m or not d.min() > d.max() * max(A.shape) * np.finfo(float).eps:
         raise RankDeficient("ordering needs full column rank")
     R_inv = np.linalg.inv(R)
     P = R_inv @ R_inv.T

@@ -236,8 +236,6 @@ class SearchOutcome:
     unique_nodes: int
     restarts: int = 0
     budget_hit: bool = False
-    gen_per_level: list | None = None
-    max_threshold: float | None = None  # Fano only: largest T reached
 
 
 def trace_lines(trace):
@@ -263,7 +261,7 @@ def _bounds_vector(policy, m):
     return t
 
 
-def _finish(problem, name, label, distance, n_c, budget_hit, unique=None, **extra):
+def _finish(problem, name, label, distance, n_c, budget_hit, unique=None, restarts=0):
     """The epilogue of every search: Babai fallback when the node budget ran
     out before a leaf, EmptySearchSpace when no leaf was found at all."""
     if label is None and budget_hit:
@@ -275,7 +273,7 @@ def _finish(problem, name, label, distance, n_c, budget_hit, unique=None, **extr
         raise err
     return SearchOutcome(decoded_label=label, distance=distance, node_generations=n_c,
                          unique_nodes=n_c if unique is None else unique,
-                         budget_hit=budget_hit, **extra)
+                         restarts=restarts, budget_hit=budget_hit)
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +381,20 @@ class _CostHeap:
 def gbb_run(problem: TreeProblem, policy: SearchPolicy, on_node=None):
     """Run the branch-and-bound loop (see the module docstring) once under
     the policy's bounds.  Raises EmptySearchSpace when no leaf was found."""
-    label, distance, n_c, gen_per_level, budget_hit = _attempt(
+    label, distance, n_c, budget_hit = _attempt(
         problem, policy, _bounds_vector(policy, problem.m), policy.node_budget, on_node)
-    return _finish(problem, policy.name, label, distance, n_c, budget_hit,
-                   gen_per_level=gen_per_level)
+    return _finish(problem, policy.name, label, distance, n_c, budget_hit)
 
 
 def _attempt(problem, policy, t, budget_cap, on_node):
     """One run of the loop under the bound vector t (changed in place by
     g1 and g2) that generates at most budget_cap nodes, the root included
     (no limit when None).  Returns (label or None, distance, n_c,
-    gen_per_level, budget_hit)."""
+    budget_hit)."""
     m = problem.m
     n_c = 1
-    gen_per_level = [1] + [0] * m
     if budget_cap is not None and budget_cap <= 1:  # the root spends it all
-        return None, INF, n_c, gen_per_level, True
+        return None, INF, n_c, True
     root = _Node((), 0, 0.0)
     if policy.sort == "lifo":
         active = _Stack([root])
@@ -444,42 +440,37 @@ def _attempt(problem, policy, t, budget_cap, on_node):
         child = _Node(node.label + (coord,), lvl + 1, node.g + w)
         active.push(child)  # re-sort; the level list applies rule g2
         n_c += 1
-        gen_per_level[lvl + 1] += 1
         if on_node is not None:
             on_node((lvl + 1, child.label, child.g, child.f, t[lvl + 1]))
         if budget_cap is not None and n_c >= budget_cap:
             budget_hit = True
             break
 
-    return best_label, best_g, n_c, gen_per_level, budget_hit
+    return best_label, best_g, n_c, budget_hit
 
 
 def restart_schedule(problem, policy, on_node=None):
     """Run the loop, doubling the bounds after every attempt that finds no
     leaf, until one finds a leaf, the node budget runs out, or doubling
-    leaves the bounds unchanged (all infinite or zero).  Node counts and
-    per-level counts add up over the attempts, so the per-level counts sum
-    to n_c.  The node budget counts the nodes of all attempts together:
-    each attempt gets what the earlier ones left, so n_c never exceeds the
-    budget, and the search ends with budget_hit once n_c reaches it.  Every
-    attempt calls the one hook on_node, so it sees every child of every
-    attempt: n_c is their number plus one root per attempt."""
+    leaves the bounds unchanged (all infinite or zero).  Node counts add
+    up over the attempts, and the node budget counts the nodes of all
+    attempts together: each attempt gets what the earlier ones left, so n_c
+    never exceeds the budget, and the search ends with budget_hit once n_c
+    reaches it.  Every attempt calls the one hook on_node, so it sees every
+    child of every attempt: n_c is their number plus one root per attempt."""
     t = _bounds_vector(policy, problem.m)
     budget = policy.node_budget
-    n_c, per_level, restarts = 0, [0] * (problem.m + 1), 0
+    n_c = restarts = 0
     while True:
         cap = None if budget is None else budget - n_c
-        label, distance, n, levels, budget_hit = _attempt(problem, policy, list(t), cap,
-                                                          on_node)
+        label, distance, n, budget_hit = _attempt(problem, policy, list(t), cap, on_node)
         n_c += n
-        per_level = [a + b for a, b in zip(per_level, levels)]
         wider = [2.0 * v for v in t]
         if label is not None or budget_hit or wider == t:
             break
         t = wider
         restarts += 1
-    return _finish(problem, policy.name, label, distance, n_c, budget_hit,
-                   gen_per_level=per_level, restarts=restarts)
+    return _finish(problem, policy.name, label, distance, n_c, budget_hit, restarts=restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +504,7 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
     node = [_Children(problem, path), [], 0, 0.0, 0.0]
     nodes = [node]
     unique = 1  # the root and each distinct node entered
-    t_mult = t_mult_max = 0  # threshold T = t_mult * step: always an exact multiple
+    t_mult = 0  # threshold T = t_mult * step: always an exact multiple
     T = t_mult * step
     evals = k = 0
 
@@ -553,7 +544,6 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
             node = child
         elif k == 0 or nodes[k - 1][4] > T:
             t_mult += 1  # cannot move back: relax and look forward again
-            t_mult_max = max(t_mult_max, t_mult)
             T = t_mult * step
             node[2] = 0
         else:
@@ -565,4 +555,4 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
 
     budget_hit = k < m  # the walk ends at a leaf unless the budget runs out first
     return _finish(problem, "fano", None if budget_hit else tuple(path), nodes[-1][3], evals,
-                   budget_hit, unique=unique, max_threshold=t_mult_max * step)
+                   budget_hit, unique=unique)

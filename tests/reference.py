@@ -320,7 +320,7 @@ def qr_decompose_signs(A):
     R = R * signs[:, np.newaxis]
     col_norms = np.linalg.norm(A, axis=0)
     scale = col_norms.max() if col_norms.size else 0.0
-    if scale == 0.0 or np.abs(np.diag(R)).min() < QR_TOL * scale:
+    if not (scale > 0.0 and np.abs(np.diag(R)).min() >= QR_TOL * scale):  # so a NaN fails
         raise RankDeficient("R diagonal below rank tolerance")
     return Q, R
 
@@ -524,14 +524,13 @@ def exhaustive_ml_loop(instance):
     """Exhaustive ML recomputing X @ (H G)' for every chunk on every call.
 
     Same contract and tie rule as latdec.oracle.exhaustive_ml: ties on the
-    distance go to the lexicographically smallest label and are flagged.
-    Returns (label, distance, tie).
+    distance go to the lexicographically smallest label.  Returns
+    (label, distance).
     """
     D = instance.H @ instance.code.generator
     base = instance.received - instance.H @ instance.code.translate
     best_d = math.inf
     best_label = None
-    tie = False
     for X in _label_chunks(instance.code.info_set, instance.code.dim):
         diff = base[None, :] - X @ D.T
         dists = np.einsum("ij,ij->i", diff, diff)
@@ -539,12 +538,10 @@ def exhaustive_ml_loop(instance):
         rows = X[dists == d]
         cand = rows[np.lexsort(rows.T[::-1])[0]].copy()
         if d < best_d:
-            best_d, best_label, tie = d, cand, len(rows) > 1
-        elif d == best_d:
-            tie = True
-            if tuple(cand) < tuple(best_label):
-                best_label = cand
-    return best_label, best_d, tie
+            best_d, best_label = d, cand
+        elif d == best_d and tuple(cand) < tuple(best_label):
+            best_label = cand
+    return best_label, best_d
 
 
 def _zigzag(problem, label):
@@ -597,7 +594,6 @@ def fano_decode_visited(problem, bias=1.0, step=1.0, node_budget=None, on_node=N
     kids = [_zigzag(problem, path)]
     ranks = [0]  # ranks[k]: the rank of the level-k node's candidate child
     t_mult = 0  # threshold T = t_mult * step
-    t_mult_max = 0
     evals = 0
     visited = set()
     budget_hit = False
@@ -633,7 +629,6 @@ def fano_decode_visited(problem, bias=1.0, step=1.0, node_budget=None, on_node=N
             ranks.append(0)
         elif k == 0 or fs[k - 1] > T:
             t_mult += 1  # cannot move back: relax and look forward again
-            t_mult_max = max(t_mult_max, t_mult)
             ranks[k] = 0
         else:
             path.pop()  # move back, try the next-best sibling
@@ -645,7 +640,7 @@ def fano_decode_visited(problem, bias=1.0, step=1.0, node_budget=None, on_node=N
             ranks[k] += 1
 
     return _finish(problem, "fano", None if budget_hit else tuple(path), gs[-1], evals,
-                   budget_hit, unique=1 + len(visited), max_threshold=t_mult_max * step)
+                   budget_hit, unique=1 + len(visited))
 
 
 @dataclass

@@ -7,7 +7,7 @@ from util import transmitted
 
 import latdec
 from latdec import channels
-from latdec.errors import DimensionMismatch, InvalidTaps, RankDeficientCode
+from latdec.errors import ConfigError, DimensionMismatch, InvalidTaps, RankDeficientCode
 
 
 def test_qpsk_symbols_are_plus_minus_kappa():
@@ -259,3 +259,18 @@ def test_instance_json_roundtrip():
     old["noise_var"] = 1.0
     assert np.array_equal(latdec.ChannelInstance.from_json(json.dumps(old)).received,
                           inst.received)
+
+
+def test_instance_json_rejects_a_missing_field_or_a_non_object():
+    # the six fields are checked in a fixed order before any is read, so a
+    # record without several of them names the first one missing
+    rec = json.loads(latdec.sample_vblast(latdec.VblastConfig(M=2, N=2, Q=2),
+                                          latdec.frame_rng(3, 0)).to_json())
+    keys = ("H", "generator", "translate", "info_set", "x_true", "received")
+    for i, key in enumerate(keys):
+        partial = {k: v for k, v in rec.items() if k not in keys[i:]}
+        with pytest.raises(ConfigError, match=f"^missing instance field {key!r}$"):
+            latdec.ChannelInstance.from_json(json.dumps(partial))
+    for text in ("[1, 2]", "null", '"H"'):
+        with pytest.raises(ConfigError, match="^instance must be an object, got "):
+            latdec.ChannelInstance.from_json(text)

@@ -7,16 +7,17 @@ equal ``sim.CHANNELS``.
 
 The library keeps only what runs: every module-level function and class
 in ``src/latdec`` has a reader in the library, in ``benchmarks/`` or in
-README's library example.  Code that only tests read belongs in the test
-tree.
+README's library example, and so does every field of the search, ML and
+frame results.  Code that only tests read belongs in the test tree.
 """
 
 import ast
+import dataclasses
 import glob
 import os
 import re
 
-from latdec import cli, sim
+from latdec import cli, oracle, search, sim
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(ROOT, "README.md")
@@ -87,9 +88,10 @@ def _names_read(tree):
     return out
 
 
-def test_every_library_definition_has_a_reader():
-    # readers are the other top-level statements of the library (__init__'s
-    # exports do not count), of benchmarks/*.py and of README's library example
+def _reader_statements():
+    """(in the library, statement) for the top-level statements of the
+    library (__init__'s exports do not count) and of benchmarks/*.py, and
+    README's library example as one statement."""
     library = [path for path in sorted(glob.glob(os.path.join(ROOT, "src", "latdec", "*.py")))
                if os.path.basename(path) != "__init__.py"]
     example = re.search(r"## Library use\s*```python\n(.*?)```", _readme(), re.S).group(1)
@@ -97,8 +99,30 @@ def test_every_library_definition_has_a_reader():
     for path in library + sorted(glob.glob(os.path.join(ROOT, "benchmarks", "*.py"))):
         with open(path) as fh:
             statements += [(path in library, stmt) for stmt in ast.parse(fh.read()).body]
+    return statements
+
+
+def test_every_library_definition_has_a_reader():
+    # readers are the other top-level statements of the library, of
+    # benchmarks/*.py and of README's library example
+    statements = _reader_statements()
     reads = [_names_read(stmt) for _, stmt in statements]
     unread = [stmt.name for i, (in_library, stmt) in enumerate(statements)
               if in_library and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
               and not any(stmt.name in names for j, names in enumerate(reads) if j != i)]
     assert not unread, f"defined in src/latdec but read only outside it: {unread}"
+
+
+def test_every_result_field_is_read():
+    # a result field that nothing reads as x.field outside its own class is
+    # computed on every decode and then thrown away
+    statements = _reader_statements()
+    unread = []
+    for cls in (search.SearchOutcome, oracle.MlResult, sim.FrameResult):
+        reads = {node.attr for _, stmt in statements
+                 if not (isinstance(stmt, ast.ClassDef) and stmt.name == cls.__name__)
+                 for node in ast.walk(stmt)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
+                   if f.name not in reads]
+    assert not unread, f"result fields that nothing reads: {unread}"

@@ -46,15 +46,15 @@ def test_exhaustive_ml_guard():
         oracle.exhaustive_ml(inst)  # 4^32 candidates
 
 
-def test_exhaustive_ml_tie_reporting():
+def test_exhaustive_ml_tie_keeps_smallest_label():
     # symmetric received point: both labels at the same distance
     H = np.eye(1)
     code = LatticeCode(np.eye(1), np.array([0.0]), InfoSet("hypercube", q=2))
     inst = latdec.ChannelInstance(H=H, code=code, x_true=np.array([0]),
                                   received=np.array([0.5]))
     res = oracle.exhaustive_ml(inst)
-    assert res.tie
     assert tuple(res.label) == (0,)  # lexicographically smallest
+    assert res.distance == 0.25
 
 
 ISI_TAPS = (0.848, -0.424, 0.2545, -0.1696, 0.0848)
@@ -62,11 +62,10 @@ ISI_TAPS = (0.848, -0.424, 0.2545, -0.1696, 0.0848)
 
 def _assert_plan_matches_reference(inst, plan):
     # the call with the plan and the one-shot call, which builds its own
-    label, distance, tie = exhaustive_ml_loop(inst)
+    label, distance = exhaustive_ml_loop(inst)
     for res in (oracle.exhaustive_ml(inst, plan), oracle.exhaustive_ml(inst)):
         assert np.array_equal(res.label, label)
         assert res.distance == distance
-        assert res.tie == tie
 
 
 @pytest.mark.parametrize("snr_db", [4.0, 10.0])
@@ -147,7 +146,9 @@ def test_ml_plan_ties_across_chunks_match_reference(rest, order):
                                   received=received)
     plan = oracle.MlPlan(inst.H, inst.code)
     res = oracle.exhaustive_ml(inst, plan)
-    assert res.tie and not res.label.any()
+    assert not res.label.any()
+    e0 = np.eye(m)[0]  # the first label of the second chunk, at the same distance
+    assert res.distance == (received - e0) @ (received - e0)
     _assert_plan_matches_reference(inst, plan)  # the plan's second use
 
 

@@ -418,6 +418,9 @@ def test_preprocessing_is_bit_identical_to_its_oracles(monkeypatch):
             got = _result_or_error(lll_reduce, B, delta, deep)
             want = _result_or_error(lll_reduce_scan, B, delta, deep)
             _same_result(got, want)
+            if np.isnan(B).any():  # every rank test must reject a NaN basis
+                for fn in (qr_decompose, lll_reduce, vblast_greedy_order):
+                    assert _result_or_error(fn, B) is RankDeficient
             for A in (B,) if isinstance(want, type) else (B, want[0]):
                 if np.isfinite(A).all():  # the oracle fails apart on NaN gains
                     assert (_result_or_error(vblast_greedy_order, A)

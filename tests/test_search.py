@@ -115,14 +115,14 @@ def test_pohst_below_minimum_raises_and_restarts():
     assert out.distance == pytest.approx(d_min)
 
 
-def test_restart_schedule_per_level_counts_cover_every_attempt():
-    # ten empty attempts before a leaf: the per-level counts, like n_c,
-    # must add up over all of them
+def test_restart_schedule_counts_cover_every_attempt():
+    # ten empty attempts before a leaf: n_c and the trace must add up over
+    # all of them, with one root per attempt
     _, prob = _random_problem(4, M=2, right="lll+permute")
-    out = restart_schedule(prob, policy_pohst(1e-3))
+    trace = []
+    out = restart_schedule(prob, policy_pohst(1e-3), on_node=trace.append)
     assert (out.node_generations, out.restarts) == (15, 10)
-    assert sum(out.gen_per_level) == out.node_generations
-    assert out.gen_per_level[0] == out.restarts + 1  # one root per attempt
+    assert out.node_generations == len(trace) + out.restarts + 1
 
 
 def test_restart_schedule_infinite_radius_no_restarts():
@@ -163,9 +163,11 @@ def test_restart_schedule_budget_counts_every_attempt():
     free = restart_schedule(prob, policy_pohst(1e-3))
     assert (free.node_generations, free.restarts, free.budget_hit) == (15, 10, False)
     for budget in range(1, 20):
-        out = restart_schedule(prob, replace(policy_pohst(1e-3), node_budget=budget))
+        trace = []
+        out = restart_schedule(prob, replace(policy_pohst(1e-3), node_budget=budget),
+                               on_node=trace.append)
         assert out.node_generations == min(budget, 15)
-        assert sum(out.gen_per_level) == out.node_generations
+        assert out.node_generations == len(trace) + out.restarts + 1
         assert out.budget_hit == (budget <= 15)
         if budget > 15:
             assert (out.decoded_label, out.restarts) == (free.decoded_label, free.restarts)
@@ -387,9 +389,10 @@ def test_fano_noiseless_never_relaxes():
     cfg = latdec.VblastConfig(M=3, N=3, Q=2, rho=10.0)
     inst = latdec.sample_vblast(cfg, latdec.frame_rng(12, 0), noiseless=True)
     prob = form_tree(inst.received, inst.H, inst.code, "zf", "none", "constrained")
-    out = fano_decode(prob, bias=1.0, step=1.0)
+    trace = []
+    out = fano_decode(prob, bias=1.0, step=1.0, on_node=trace.append)
     assert out.decoded_label == transmitted_label(prob, inst.x_true)
-    assert out.max_threshold == 0.0
+    assert max(bound for *_, bound in trace) == 0.0
 
 
 def test_fano_matches_stack_on_handset_problem():
@@ -421,7 +424,7 @@ def test_fano_properties_on_noisy_frames():
         f_max = max(path_metric(prob, truth[: j + 1]) - b * (j + 1)
                     for j in range(prob.m))
         f_max = max(f_max, 0.0)
-        assert out.max_threshold < f_max + step + 1e-9
+        assert max(bound for *_, bound in trace) < f_max + step + 1e-9
 
 
 def test_fano_counts_revisits():
