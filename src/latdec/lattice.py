@@ -167,9 +167,9 @@ def lll_reduce(B, delta=0.99, deep=False):
         raise ValueError("delta must lie in (0.25, 1]")
     B = np.asarray(B, dtype=float)
     n = B.shape[1]
-    R = triangular_columns(B)
+    R = triangular_columns(B) if np.isfinite(B).all() else None
     if R is None:
-        R = qr_decompose(B)[1].T.tolist()  # raises RankDeficient
+        R = qr_decompose(B)[1].T.tolist()  # raises RankDeficient, on a non-finite entry too
     # R[c] is column c of the triangular factor; Ti[c] is column c of T_inv
     # and T[c] row c of T, so moving a basis column moves one list each
     unit = [0] * (n - 1) + [1] + [0] * (n - 1)  # unit[n-1-c:][:n] is e_c

@@ -16,12 +16,15 @@ QR_TOL = 1e-10  # relative rank threshold on the R diagonal
 def qr_decompose(A):
     """Thin QR factorization with a strictly positive R diagonal.
 
-    Requires rows >= cols and full numerical column rank.  The positive
-    diagonal fixes the sign ambiguity, so the factorization is unique.
+    Requires rows >= cols, finite entries and full numerical column rank.
+    The positive diagonal fixes the sign ambiguity, so the factorization is
+    unique.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
         raise RankDeficient(f"need rows >= cols, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise RankDeficient("non-finite entries")
     Q, R = np.linalg.qr(A, mode="reduced")
     d = R.diagonal()
     # the largest column norm: sqrt is correctly rounded and monotone, so

@@ -26,6 +26,8 @@ from .linalg import qr_decompose, triangular_columns
 
 LEFT_MODES = ("zf", "mmse")
 RIGHT_MODES = ("none", "lll", "permute", "lll+permute")
+BOX_RIGHT_MODES = ("none", "permute")  # the right modes that keep a box: permutations
+BOUNDARIES = ("lattice", "constrained")
 ORDER_TIE_RTOL = 1e-9  # relative gain difference below which ordering counts a tie
 
 
@@ -219,10 +221,10 @@ def prepare_tree(H, code: LatticeCode, left_mode="mmse", right_mode="none",
         raise DimensionMismatch(f"code dimension {code.dim} != channel columns {m}")
     if left_mode not in LEFT_MODES:
         raise ValueError(f"unknown left preprocessing mode {left_mode!r}")
-    if boundary not in ("lattice", "constrained"):
+    if boundary not in BOUNDARIES:
         raise ValueError(f"unknown boundary mode {boundary!r}")
     if boundary == "constrained":
-        if right_mode not in ("none", "permute"):
+        if right_mode not in BOX_RIGHT_MODES:
             raise IncompatibleBoundary(
                 "constrained search is only possible when the basis change is a permutation")
         if code.info_set.kind != "hypercube":

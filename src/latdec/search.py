@@ -1,12 +1,14 @@
 """Tree search engine for upper-triangular integer least-squares problems.
 
 One generic branch-and-bound loop (gbb_run) covers every decoder here.  It
-inspects the top node of the ACTIVE list: a leaf updates the incumbent and
-tightens the bound (rule g1); an invalid node (path metric beyond its
-level's bound) and an exhausted node (no child left within the bound) are
-removed; otherwise the node generates exactly one more child, the counter
-and rule g2 are applied, and the list is re-sorted.  A decoder is a
-SearchPolicy bundle of:
+inspects the top node of the ACTIVE list: a leaf that beats the incumbent
+replaces it and tightens every level's bound to its metric (rule g1); an
+invalid node (path metric beyond its level's bound) and an exhausted node
+(no child left within the bound) are removed; otherwise the node generates
+exactly one more child, the counter and rule g2 are applied, and the list
+is re-sorted.  Rule g1 holds for every decoder: the breadth-first ones meet
+leaves only after every inner node, and Babai and stack stop at their
+first leaf.  A decoder is a SearchPolicy bundle of:
 
   * a sort rule for the ACTIVE list ("lifo" depth-first, "fifo" breadth-
     first, "cost" best-first, "level-cost" breadth-first by level), each
@@ -16,9 +18,7 @@ SearchPolicy bundle of:
     minimizer, "vb" ascending from the low end of the admissible interval);
   * a bounding vector t (per level, +inf allowed) with a strict or
     non-strict validity comparison;
-  * tightening rules: g1 shrinks the bound when a leaf is reached
-    ("min"), g2 implements the per-level pruning of the M- and
-    T-algorithms;
+  * rule g2, the per-level pruning of the M- and T-algorithms;
   * a bias b used by the best-first cost f = path_metric - b * level;
   * first_leaf_exit: the first leaf on top ends the search (Babai, stack).
 
@@ -61,42 +61,23 @@ DEFAULT_NODE_BUDGET = 10**6
 # child generation
 
 
-def _nearest_int(c):
-    # nearest integer, half-way ties rounded up
-    return math.floor(c + 0.5)
-
-
-def _boxed_se_order(c, q):
-    """All of {0..q-1} ordered by the zigzag rule around c."""
-    a = _nearest_int(c)
-    if a < 0:
-        return list(range(q))
-    if a >= q:
-        return list(range(q - 1, -1, -1))
-    delta = 1 if (c - a) >= 0 else -1
-    out = [a]
-    t = 1
-    while len(out) < q:
-        for x in (a + t * delta, a - t * delta):
-            if 0 <= x < q:
-                out.append(x)
-        t += 1
-    return out
-
-
 class _Children:
     """Lazy generator of the children of the node with partial label `label`.
 
     Children are coordinates x of the next label symbol, each with its level
-    metric w = (resid - diag * x)^2.  Order "se" is the Schnorr-Euchner
-    zigzag around resid / diag: all of {0..Q-1} when the problem is boxed,
-    an endless stream otherwise; w never decreases along it.  Order "vb"
-    ascends over the Pohst interval of the remaining budget `rem` (the box
-    when rem is infinite).  `rank` is the position of the next child; the
-    caller advances it to consume that child.
+    metric w = (resid - diag * x)^2, in one of two lazy orders.  "se" is the
+    Schnorr-Euchner zigzag a, a + delta, a - delta, a + 2 delta, ... from
+    the nearest integer a to c = resid / diag, delta towards c; endless on
+    a lattice boundary.  On a box {0..Q-1}, a is clamped to the nearer edge
+    and the zigzag runs on along one side once the other has left the box,
+    until both have.  w never decreases along it, so it ends at the first
+    child that does not fit.  "vb" ascends from a to hi, two Python ints
+    bounding the Pohst interval of the remaining budget `rem` in the box
+    (the box when rem is infinite), skipping children that no longer fit.
+    `rank` is the position of the next child; the caller advances it.
     """
 
-    __slots__ = ("resid", "diag", "order", "zigzag", "a", "delta", "rank")
+    __slots__ = ("resid", "diag", "a", "delta", "hi", "reach", "rank")
 
     def __init__(self, problem, label, gen="se", rem=INF):
         k = len(label)
@@ -107,48 +88,70 @@ class _Children:
         diag = row[k]
         q = problem.boundary_q
         self.resid, self.diag, self.rank = resid, diag, 0
-        self.zigzag = zigzag = gen == "se"
-        self.order = None  # explicit coordinate sequence, or None for the free zigzag
-        if zigzag:
+        if gen == "se":
             c = resid / diag
-            if q is None:
-                self.a = _nearest_int(c)
-                self.delta = 1 if (c - self.a) >= 0 else -1
-            else:
-                self.order = _boxed_se_order(c, q)
-        elif rem == INF:
+            a = math.floor(c + 0.5)  # nearest integer, half-way ties rounded up
+            self.delta = 1 if (c - a) >= 0 else -1
+            self.a, self.hi = a, None
+            if q is not None:  # clamp a into the box; the zigzag alternates up to rank `reach`
+                hi = q - 1
+                self.a = a = 0 if a < 0 else hi if a > hi else a
+                self.hi, self.reach = hi, 2 * (a if 2 * a < hi else hi - a)
+            return
+        if rem == INF:
             if q is None:
                 raise ValueError("interval generation needs a finite bound or a box")
-            self.order = range(q)
+            lo, hi = 0, q - 1
         elif rem < 0:
-            self.order = range(0)
+            lo, hi = 0, -1
         else:
             s = math.sqrt(rem)
             lo = math.ceil((resid - s) / diag)
             hi = math.floor((resid + s) / diag)
             if q is not None:
-                lo = max(lo, 0)
-                hi = min(hi, q - 1)
-            self.order = range(lo, hi + 1)
+                lo, hi = max(lo, 0), min(hi, q - 1)
+        self.a, self.delta, self.hi, self.reach = lo, 0, hi, -1  # delta 0 marks "vb"
 
     def peek(self, rem, strict):
         """Next child (coord, w) with w within rem, not consumed; None when exhausted."""
-        order, rank = self.order, self.rank
-        while True:
-            if order is None:  # zigzag: a, a + delta, a - delta, a + 2 delta, ...
-                t = (rank + 1) // 2
-                x = self.a + t * self.delta if rank % 2 else self.a - t * self.delta
-            elif rank < len(order):
-                x = order[rank]
-            else:
-                return None
-            d = self.resid - self.diag * x
+        rank = self.rank
+        if self.hi is None or rank <= self.reach:
+            t = (rank + 1) // 2  # zigzag: a, a + delta, a - delta, a + 2 delta, ...
+            x = self.a + t * self.delta if rank % 2 else self.a - t * self.delta
+        elif not self.delta:
+            return self._ascend(rem, strict)
+        elif rank > self.hi:
+            return None  # both sides have left the box
+        else:  # one side has left the box (ranks 0..reach took 0..2a or 2a-hi..hi)
+            x = rank if 2 * self.a < self.hi else self.hi - rank
+        d = self.resid - self.diag * x
+        w = d * d
+        return (x, w) if ((w < rem) if strict else (w <= rem)) else None
+
+    def _ascend(self, rem, strict):
+        """peek for "vb": the first child from a + rank up to hi that fits.  Below
+        c, w falls as x rises, so bisection crosses any width in log2(width) steps."""
+        a, hi, resid, diag = self.a, self.hi, self.resid, self.diag
+        x = a + self.rank
+        while x <= hi:
+            d = resid - diag * x
             w = d * d
             if (w < rem) if strict else (w <= rem):
+                self.rank = x - a
                 return x, w
-            if self.zigzag:
-                return None  # ordered by w: nothing further fits either
-            rank = self.rank = rank + 1  # vb: skip the coordinate that no longer fits
+            if d * diag <= 0.0:
+                return None  # x is at or above c: w only grows from here
+            # bisect for the first child that fits or reaches c
+            low, high = x + 1, hi + 1
+            while low < high:
+                mid = (low + high) // 2
+                d = resid - diag * mid
+                if d * diag <= 0.0 or ((d * d < rem) if strict else (d * d <= rem)):
+                    high = mid
+                else:
+                    low = mid + 1
+            x = low
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +166,6 @@ class SearchPolicy:
     sort: str                 # "lifo" | "fifo" | "cost" | "level-cost"
     gen: str                  # "se" | "vb"
     bound: object             # scalar or per-level sequence, +inf allowed
-    g1: str = "none"          # "none" | "min"
     g2: str | None = None     # None | "m-alg" | "t-alg"
     g2_param: float | None = None
     bias: float = 0.0
@@ -189,18 +191,17 @@ def policy_ep(e):
 
 def policy_vb(C0):
     """Depth-first search, children low coordinate first, shrinking radius C0."""
-    return SearchPolicy("vb", sort="lifo", gen="vb", bound=float(C0), g1="min")
+    return SearchPolicy("vb", sort="lifo", gen="vb", bound=float(C0))
 
 
 def policy_se():
     """Depth-first zigzag search from an infinite radius; exact closest point."""
-    return SearchPolicy("se", sort="lifo", gen="se", bound=INF, g1="min")
+    return SearchPolicy("se", sort="lifo", gen="se", bound=INF)
 
 
 def policy_babai():
     """Single depth-first descent: successive rounding, first leaf wins."""
-    return SearchPolicy("babai", sort="lifo", gen="se", bound=INF, g1="min",
-                        first_leaf_exit=True)
+    return SearchPolicy("babai", sort="lifo", gen="se", bound=INF, first_leaf_exit=True)
 
 
 def policy_stack(b=0.0):
@@ -208,8 +209,8 @@ def policy_stack(b=0.0):
 
     A node's cost is that of its best ungenerated child and a leaf's is
     -inf, so the first leaf on top of the list is the decision."""
-    return SearchPolicy("stack", sort="cost", gen="se", bound=INF, g1="min",
-                        bias=float(b), first_leaf_exit=True)
+    return SearchPolicy("stack", sort="cost", gen="se", bound=INF, bias=float(b),
+                        first_leaf_exit=True)
 
 
 def policy_m_algorithm(M):
@@ -405,21 +406,19 @@ def _attempt(problem, policy, t, budget_cap, on_node):
     else:
         raise ValueError(f"unknown sort rule {policy.sort!r}")
     strict = policy.strict
-    g1_min = policy.g1 == "min"
     best_label = None
     best_g = INF
     budget_hit = False
 
     while (node := active.top()) is not None:
         lvl = node.level
-        if lvl == m:  # leaf: new incumbent, rule g1
-            if g1_min:
-                for i in range(1, m + 1):
-                    if node.g < t[i]:
-                        t[i] = node.g
+        if lvl == m:  # leaf: a new incumbent tightens every bound to its metric, rule g1
             if node.g < best_g:
                 best_g = node.g
                 best_label = node.label
+                for i in range(1, m + 1):
+                    if best_g < t[i]:
+                        t[i] = best_g
             active.drop()
             if policy.first_leaf_exit:
                 break

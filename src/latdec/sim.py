@@ -33,7 +33,8 @@ import numpy as np
 
 from . import channels, oracle, search
 from .errors import ConfigError, DimensionMismatch, RankDeficientCode
-from .preprocess import apply_back_map, prepare_tree
+from .preprocess import (BOUNDARIES, BOX_RIGHT_MODES, LEFT_MODES, RIGHT_MODES, apply_back_map,
+                         prepare_tree)
 
 CHUNK = 512  # stopping-rule granularity (fixed: determinism across workers)
 DUMP_LIMIT = 10  # failing decodes written per sweep by dump_failures
@@ -120,8 +121,8 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _positive(value):
-    return _is_number(value) and value > 0  # False for NaN
+def _positive_finite(value):
+    return _is_number(value) and 0 < value < math.inf  # False for NaN
 
 
 def _numbers(value, test):
@@ -191,19 +192,20 @@ def _isi_config(taps, frame_len, Q=2, gen_polys=None):
 
 # type -> (config class, its build function from the checked fields, rules
 # of each key but "type", sampler name in channels, lattice dimension, number
-# of code labels (None when unconstrained), static)
-ChannelKind = namedtuple("ChannelKind", "config build rules sampler dim labels static")
+# of channel outputs (rows of H), number of code labels (None when
+# unconstrained), whether the information set is a hypercube, static)
+ChannelKind = namedtuple("ChannelKind", "config build rules sampler dim outputs labels box static")
 _MIMO_RULES = {"M": _at_least(1), "N": _at_least(1), "Q": _at_least(2)}
 CHANNELS = {
     "vblast": ChannelKind(channels.VblastConfig, channels.VblastConfig, _MIMO_RULES,
-                          "sample_vblast", lambda ch: 2 * ch.M, lambda ch: ch.Q ** (2 * ch.M),
-                          False),
+                          "sample_vblast", lambda ch: 2 * ch.M, lambda ch: 2 * ch.N,
+                          lambda ch: ch.Q ** (2 * ch.M), lambda ch: True, False),
     "ld": ChannelKind(channels.LdCodeConfig, _ld_config,
                       {**_MIMO_RULES, "T": _at_least(1),
                        "generator": ("a list", lambda v: isinstance(v, (list, tuple))),
                        "generator_seed": _at_least(0)},
-                      "build_ld_instance", lambda ch: 2 * ch.M * ch.T,
-                      lambda ch: ch.Q ** (2 * ch.M * ch.T), False),
+                      "build_ld_instance", lambda ch: 2 * ch.M * ch.T, lambda ch: 2 * ch.N * ch.T,
+                      lambda ch: ch.Q ** (2 * ch.M * ch.T), lambda ch: True, False),
     "isi": ChannelKind(channels.IsiConfig, _isi_config,
                        {"taps": ("a list of finite numbers, not all zero",
                                  lambda v: _numbers(v, math.isfinite) and any(v)),
@@ -211,7 +213,8 @@ CHANNELS = {
                         "gen_polys": ("a non-empty list of octal numbers or null",
                                       lambda v: v is None or _numbers(v, _octal) and len(v) > 0)},
                        "build_isi_instance", lambda ch: ch.frame_len,
-                       channels.isi_label_count, True),
+                       lambda ch: ch.frame_len + len(ch.taps) - 1, channels.isi_label_count,
+                       lambda ch: ch.gen_polys is None, True),
 }
 _KIND_OF_CONFIG = {kind.config: kind for kind in CHANNELS.values()}
 
@@ -226,26 +229,44 @@ def parse_channel(d):
 
 
 _PREPROC_FIELD_RULES = {
-    "left": _one_of("zf", "mmse"),
-    "right": _one_of("none", "lll", "permute", "lll+permute"),
-    "boundary": _one_of("lattice", "constrained"),
+    "left": _one_of(*LEFT_MODES),
+    "right": _one_of(*RIGHT_MODES),
+    "boundary": _one_of(*BOUNDARIES),
     "lll_delta": ("a number in (0.25, 1]", lambda v: _is_number(v) and 0.25 < v <= 1),
     "lll_deep": _FLAG,
 }
 
 
 def parse_preproc(d):
-    return _build("preproc", _PREPROC_FIELD_RULES, PreprocSpec, d or {})
+    spec = _build("preproc", _PREPROC_FIELD_RULES, PreprocSpec, d or {})
+    if spec.boundary == "constrained" and spec.right not in BOX_RIGHT_MODES:
+        raise ConfigError(f"preproc field 'right' must be {_one_of(*BOX_RIGHT_MODES)[0]} when "
+                          f"'boundary' is 'constrained': any other basis change loses the box, "
+                          f"got {spec.right!r}")
+    return spec
+
+
+def _check_preproc(preproc, kind, channel):
+    """ConfigError naming the preproc field that prepare_tree would reject on
+    every frame of channel, a parsed channel config of kind."""
+    if preproc.boundary == "constrained" and not kind.box(channel):
+        raise ConfigError("preproc field 'boundary' 'constrained' needs a hypercube information "
+                          "set, which a coded channel ('gen_polys') does not have")
+    outputs, dim = kind.outputs(channel), kind.dim(channel)
+    if preproc.left == "zf" and outputs < dim:
+        raise ConfigError(f"preproc field 'left' 'zf' needs at least as many channel outputs as "
+                          f"lattice dimensions (N >= M), got {outputs} for {dim}; 'mmse' has no "
+                          f"such need")
 
 
 # what a decoder field must be when it is given
 _DECODER_FIELD_RULES = {
     "name": _one_of(*DECODERS),
     "bias": ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
-    "step": ("a positive finite number", lambda v: _positive(v) and math.isfinite(v)),
-    "radius": ("a positive number", _positive),
-    "bounds": ("a list of positive numbers", lambda v: _numbers(v, _positive)),
-    "weights": ("a list of positive numbers", lambda v: _numbers(v, _positive)),
+    "step": ("a positive finite number", _positive_finite),
+    "radius": ("a positive finite number", _positive_finite),
+    "bounds": ("a list of positive finite numbers", lambda v: _numbers(v, _positive_finite)),
+    "weights": ("a list of positive finite numbers", lambda v: _numbers(v, _positive_finite)),
     "M": _at_least(1),
     "T": ("a non-negative number", lambda v: _is_number(v) and v >= 0),
     "budget": ("an integer >= 1 or null", lambda v: v is None or _is_int(v) and v >= 1),
@@ -317,6 +338,7 @@ def parse_config(d):
     cfg.decoder = parse_decoder(cfg.decoder)
     cfg.snr_grid_db = tuple(float(s) for s in cfg.snr_grid_db)
     kind = _KIND_OF_CONFIG[type(cfg.channel)]
+    _check_preproc(cfg.preproc, kind, cfg.channel)
     labels = kind.labels(cfg.channel)
     check_decoder(cfg.decoder, cfg.preproc, kind.dim(cfg.channel), labels)
     if cfg.shadow_oracle:

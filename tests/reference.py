@@ -313,6 +313,8 @@ def qr_decompose_signs(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
         raise RankDeficient(f"need rows >= cols, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise RankDeficient("non-finite entries")
     Q, R = np.linalg.qr(A, mode="reduced")
     signs = np.sign(np.diag(R))
     signs[signs == 0.0] = 1.0
@@ -335,7 +337,8 @@ def lll_reduce_scan(B, delta=0.99, deep=False):
         raise ValueError("delta must lie in (0.25, 1]")
     B = np.asarray(B, dtype=float)
     n = B.shape[1]
-    if B.shape == (n, n) and np.all(np.diag(B) > 0) and not np.tril(B, -1).any():
+    if B.shape == (n, n) and np.all(np.diag(B) > 0) and not np.tril(B, -1).any() \
+            and np.isfinite(B).all():
         R = B.T.tolist()
     else:
         R = qr_decompose_signs(B)[1].T.tolist()

@@ -336,6 +336,10 @@ def _oracle_bases():
         for _ in range(40):
             yield rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3), 0.99, False
     yield np.array([[1.0, 1e19], [0.0, 1.0]]), 0.99, False  # records beyond int64
+    inf = np.inf  # an infinite entry, on or off the diagonal, makes a basis rank deficient
+    for B in ([[inf]], [[1.0, 0.0], [0.0, inf]], [[inf, 0.0], [0.0, 1.0]],
+              [[1.0, inf], [0.0, 1.0]]):
+        yield np.array(B), 0.99, False
     # at the edge of the "own R" test: upper triangular with a zero, a negative
     # or a NaN diagonal entry, or with a -0.0 (still triangular) or a subnormal
     # (no longer triangular) below the diagonal
@@ -414,11 +418,11 @@ def test_preprocessing_is_bit_identical_to_its_oracles(monkeypatch):
 
     bases = raised = 0
     for B, delta, deep in _oracle_bases():
-        with np.errstate(divide="ignore", invalid="ignore"):  # the 1e19 and NaN bases
+        with np.errstate(divide="ignore", invalid="ignore"):  # the 1e19, NaN and inf bases
             got = _result_or_error(lll_reduce, B, delta, deep)
             want = _result_or_error(lll_reduce_scan, B, delta, deep)
             _same_result(got, want)
-            if np.isnan(B).any():  # every rank test must reject a NaN basis
+            if not np.isfinite(B).all():  # every rank test must reject a NaN or inf basis
                 for fn in (qr_decompose, lll_reduce, vblast_greedy_order):
                     assert _result_or_error(fn, B) is RankDeficient
             for A in (B,) if isinstance(want, type) else (B, want[0]):

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from reference import (ActiveDeque, ActiveLevelHeap, MaxCost, PohstBudget, babai_box, box_clps,
-                       enumerate_node_set, fano_decode_visited)
+from reference import (ActiveDeque, ActiveLevelHeap, MaxCost, PohstBudget, _zigzag, babai_box,
+                       box_clps, enumerate_node_set, fano_decode_visited)
 from util import (child_interval, make_problem, node_metric, path_metric, se_child_order,
                   transmitted_label)
 
 import latdec
+from latdec import search
 from latdec.errors import EmptySearchSpace, TooLarge
 from latdec.preprocess import apply_back_map, form_tree
 from latdec.search import (SearchPolicy, fano_decode, gbb_run, policy_babai, policy_ep,
@@ -80,6 +81,31 @@ def test_se_child_order_nondecreasing_metric():
         prob = make_problem([[rng.uniform(0.2, 3.0)]], [rng.normal() * 3])
         ws = [w for _, w in se_child_order(prob, (), count=9)]
         assert ws == sorted(ws)
+
+
+@pytest.mark.parametrize("q", [None, 2, 3, 4, 8])
+def test_children_follow_the_reference_zigzag_rank_by_rank(q):
+    # c far below, inside and far above the box, and on half-integers, where
+    # the tie goes up; powers of two keep c = resid / diag exact
+    cs = [-40.3, -2.5, -0.5, 0.0, 0.49, 0.5, 1.5, 2.2, 2.5, 3.5, 6.5, 7.5, 37.9]
+    kids_seen = 0
+    for c in cs:
+        for diag in (1.0, 0.25, 4.0):
+            prob = make_problem([[diag]], [c * diag], q)
+            problems = [(prob, ())]
+            R = np.array([[1.5, -0.3, 0.7], [0.0, 0.8, 0.4], [0.0, 0.0, diag]])
+            deep = make_problem(R, [1.1, -0.6, c * diag], q)
+            problems += [(deep, ()), (deep, (0,)), (deep, (1, 2))]
+            for problem, label in problems:
+                kids, want = search._Children(problem, label), _zigzag(problem, label)
+                for rank in range(12 if q is None else q + 1):
+                    got = kids.peek(math.inf, True)
+                    assert got == want(rank), (c, diag, label, rank)
+                    if got is None:
+                        break
+                    kids.rank += 1
+                    kids_seen += 1
+    assert kids_seen > 100
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +368,6 @@ def test_active_lists_match_the_deque_and_level_heap(monkeypatch):
     # n_c).  Applying g2 to a level when it becomes current, instead of when
     # the next level gets its first child, fails here: it also ranks the
     # front nodes that a finite bound leaves without a child
-    from latdec import search
-
     problems = []
     for M in (3, 4):
         cfg = latdec.VblastConfig(M=M, N=M, Q=4, rho=10.0 ** 0.8)  # 8 dB
@@ -506,8 +530,6 @@ def test_fano_evaluates_each_child_once_per_decode(monkeypatch):
     # pins the memo itself, which the bit-identity tests cannot see: on ISI
     # frames with revisits, peek runs at most once per (generator, rank), and
     # one generator is built per distinct non-leaf node entered, the root too
-    from latdec import search
-
     init, peek = search._Children.__init__, search._Children.peek
     built, peeked = [], []
 

@@ -159,6 +159,31 @@ def _with_nan(a):
      ValueError, "^received"),
     (lambda: latdec.prepare_tree(_with_nan(_tiny_plan()[0].H), _tiny_plan()[0].code),
      ValueError, "^H:"),
+    # configs that prepare_tree rejects on every frame fail when parsed
+    (lambda: _base_config(preproc=dict(BOX, right="lll")), ConfigError,
+     "^preproc field 'right' .* 'constrained'"),
+    (lambda: _base_config(preproc=dict(BOX, right="lll+permute")), ConfigError,
+     "^preproc field 'right' .* 'constrained'"),
+    (lambda: _base_config(preproc=dict(BOX, right="lll"), decoder={"name": "m-alg", "M": 2}),
+     ConfigError, "^preproc field 'right'"),
+    (lambda: _base_config(preproc=dict(BOX, right="lll+permute"),
+                          decoder={"name": "t-alg", "T": 2.0}), ConfigError,
+     "^preproc field 'right'"),
+    (lambda: _base_config(channel=ISI_ML_CHANNEL, preproc=dict(BOX, left="mmse")),
+     ConfigError, "^preproc field 'boundary' .*'gen_polys'"),
+    (lambda: _base_config(channel={"type": "vblast", "M": 3, "N": 2},
+                          preproc=dict(BOX, boundary="lattice")), ConfigError, "^preproc field 'left' 'zf' .* got 4 for 6"),
+    (lambda: _base_config(channel={"type": "ld", "M": 2, "N": 1, "T": 2}, preproc=BOX),
+     ConfigError, "^preproc field 'left' 'zf' .* got 4 for 8"),
+    # json.load reads Infinity; a search bound must be finite
+    (lambda: _base_config(decoder=json.loads('{"name": "pohst", "radius": Infinity}')),
+     ConfigError, "'radius'"),
+    (lambda: _base_config(decoder={"name": "vb", "radius": float("inf")}), ConfigError,
+     "'radius'"),
+    (lambda: _base_config(decoder=json.loads('{"name": "ir", "bounds": [1, Infinity, 1, 1]}')),
+     ConfigError, "'bounds'"),
+    (lambda: _base_config(decoder={"name": "ep", "weights": [1, 1, 1, float("inf")]}),
+     ConfigError, "'weights'"),
 ], ids=["pohst-radius", "vb-radius", "ir-bounds", "ep-weights", "m-alg-M", "t-alg-T",
         "m-alg-lattice", "t-alg-lattice", "fano-step-0", "fano-step-negative",
         "fano-step-inf", "fano-bias-nan", "stack-bias-inf", "pohst-radius-0",
@@ -175,7 +200,10 @@ def _with_nan(a):
         "ld-generator-seed-negative", "ld-generator-seed-fraction",
         "ld-generator-and-seed", "ml-isi-unlisted", "ml-vblast-11", "shadow-se-isi-unlisted",
         "shadow-se-vblast-11", "shadow-fano-isi-unlisted", "shadow-fano-vblast-11",
-        "received-nan", "H-nan"])
+        "received-nan", "H-nan", "constrained-lll", "constrained-lll-permute",
+        "m-alg-constrained-lll", "t-alg-constrained-lll-permute", "constrained-isi-coded",
+        "zf-vblast-n-below-m", "zf-ld-n-below-m", "pohst-radius-inf", "vb-radius-inf",
+        "ir-bounds-inf", "ep-weights-inf"])
 def test_bad_input_fails_early_naming_the_field(build, error, match):
     with pytest.raises(error, match=match):
         built = build()
@@ -269,6 +297,18 @@ def test_node_budget_caps_the_whole_restart_schedule():
         assert np.array_equal(res.info, latdec.apply_back_map(babai, problem.back_map))
         free = sim.decode_frame(inst, problem, replace(cfg.decoder, budget=None))
         assert free.nc > 1000 and not free.budget_hit
+
+
+@pytest.mark.parametrize("name", ["pohst", "vb"])
+def test_huge_radius_sweep_ends_on_the_node_budget(name):
+    # the interval of a radius of 1e308 on a lattice boundary spans about
+    # 1e154 coordinates: the search runs into its node budget and the Babai
+    # fallback decides every frame
+    dec = {"name": name, "radius": 1e308, "budget": 300}
+    report = sim.run_sweep(sim.parse_config(_base_config(decoder=dec, trials=5,
+                                                         snr_grid_db=[10.0])))
+    point = report.points[0]
+    assert point.trials == point.budget_hits == 5 and point.nc_values == [300] * 5
 
 
 def test_one_process_pool_per_sweep(monkeypatch):

@@ -75,9 +75,8 @@ def child_interval(problem, parent_label, budget):
     if budget == INF:
         return None
     parent_label = tuple(parent_label)
-    order = _Children(problem, parent_label, "vb",
-                      budget - path_metric(problem, parent_label)).order
-    return order.start, order.stop - 1
+    kids = _Children(problem, parent_label, "vb", budget - path_metric(problem, parent_label))
+    return kids.a, kids.hi  # "vb" ascends from a to hi
 
 
 def se_child_order(problem, parent_label, count=None):
