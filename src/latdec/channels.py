@@ -226,10 +226,10 @@ def build_ld_instance(cfg: LdCodeConfig, rng, noiseless=False, channel=None):
 def isi_toeplitz(taps, frame_len):
     """Tall banded Toeplitz convolution matrix, (frame_len + L) x frame_len."""
     taps = np.asarray(taps, dtype=float)
-    L = len(taps) - 1
-    H = np.zeros((frame_len + L, frame_len))
-    for j in range(frame_len):
-        H[j:j + L + 1, j] = taps
+    H = np.zeros((frame_len + len(taps) - 1, frame_len))
+    j = np.arange(frame_len)
+    for d, tap in enumerate(taps):
+        H[j + d, j] = tap
     return H
 
 
@@ -240,16 +240,9 @@ def _poly_bits(p):
     constraint length (e.g. octal 4672 has memory 10, 1024 states).
     """
     val = int(str(p), 8)
-    if val < 0:  # its right shifts would never reach 0
+    if val < 0:
         raise ValueError(f"generator polynomial {p!r} is negative")
-    bits = []
-    while val:
-        bits.append(val & 1)
-        val >>= 1
-    bits = bits[::-1]
-    while bits and bits[-1] == 0:
-        bits.pop()
-    return bits or [0]
+    return [int(b) for b in bin(val)[2:].rstrip("0") or "0"]
 
 
 def conv_info_len(gen_polys, frame_len):
@@ -272,42 +265,28 @@ def conv_generator_matrix(gen_polys, info_len):
     taps = [_poly_bits(p) for p in gen_polys]
     mem = max(len(t) for t in taps) - 1
     n_out = len(gen_polys)
-    k = info_len
-    m = n_out * (k + mem)
-    M = np.zeros((m, k), dtype=int)
-    for t in range(k + mem):
-        for p, tap in enumerate(taps):
-            row = t * n_out + p
-            for d, bit in enumerate(tap):
-                i = t - d
-                if bit and 0 <= i < k:
-                    M[row, i] = 1
+    M = np.zeros((n_out * (info_len + mem), info_len), dtype=int)
+    i = np.arange(info_len)
+    for p, tap in enumerate(taps):
+        for d in np.flatnonzero(tap):  # output p at time i + d sees info bit i
+            M[(i + d) * n_out + p, i] = 1
     return M
 
 
 def gf2_row_reduce(M):
     """Reduced row echelon form over GF(2); returns (rref, pivot_columns)."""
-    A = (np.asarray(M, dtype=int) % 2).copy()
-    rows, cols = A.shape
+    A = np.asarray(M, dtype=int) % 2
     pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot = None
-        for i in range(r, rows):
-            if A[i, c]:
-                pivot = i
-                break
-        if pivot is None:
+    for c in range(A.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(A[r:, c])  # empty once every row holds a pivot
+        if not below.size:
             continue
-        if pivot != r:
-            A[[pivot, r]] = A[[r, pivot]]
-        for i in range(rows):
-            if i != r and A[i, c]:
-                A[i] ^= A[r]
+        A[[r, r + below[0]]] = A[[r + below[0], r]]
+        hit = A[:, c] == 1
+        hit[r] = False
+        A[hit] ^= A[r]  # clear column c outside the pivot row
         pivots.append(c)
-        r += 1
     return A, pivots
 
 

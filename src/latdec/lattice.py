@@ -167,7 +167,7 @@ def lll_reduce(B, delta=0.99, deep=False):
         raise ValueError("delta must lie in (0.25, 1]")
     B = np.asarray(B, dtype=float)
     n = B.shape[1]
-    R = triangular_columns(B) if np.isfinite(B).all() else None
+    R = triangular_columns(B)
     if R is None:
         R = qr_decompose(B)[1].T.tolist()  # raises RankDeficient, on a non-finite entry too
     # R[c] is column c of the triangular factor; Ti[c] is column c of T_inv

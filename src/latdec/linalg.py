@@ -47,9 +47,10 @@ def complex_to_real_matrix(M):
 
 
 def triangular_columns(A):
-    """A's columns as lists if A is square upper triangular, positive on its diagonal; else None."""
+    """A's columns as lists if A is finite, square upper triangular and
+    positive on its diagonal; else None."""
     n = A.shape[1]
-    if A.shape == (n, n):
+    if A.shape == (n, n) and np.isfinite(A).all():
         cols = A.T.tolist()
         if all(c[j] > 0.0 and not any(c[j + 1:]) for j, c in enumerate(cols)):
             return cols

@@ -159,6 +159,8 @@ def level_rows(R):
 class TreeProblem:
     """Upper-triangular integer least-squares problem ready for tree search.
 
+    R is upper triangular with a positive, finite diagonal; a problem that
+    builds its own level view from an R that breaks this raises ValueError.
     R and y are in physical (top-down) orientation; lev_rows / lev_y expose
     the reverse-numbered view used by the search: lev_rows[k-1][j-1] is the
     coefficient of label symbol x_j in the level-k residual (see
@@ -178,6 +180,8 @@ class TreeProblem:
         self.m = self.R.shape[0]
         if self.lev_rows is None:
             self.lev_rows = level_rows(self.R)
+            if not all(0.0 < row[-1] < math.inf for row in self.lev_rows):
+                raise ValueError("R needs a positive, finite diagonal")
         self.lev_y = tuple(np.asarray(self.y, dtype=float)[::-1].tolist())
 
 

@@ -46,6 +46,7 @@ while unique_nodes counts distinct labels.
 
 import heapq
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -53,6 +54,7 @@ from .errors import EmptySearchSpace
 from .preprocess import TreeProblem
 
 INF = math.inf
+_FLOAT_MAX = sys.float_info.max
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -105,9 +107,9 @@ class _Children:
         elif rem < 0:
             lo, hi = 0, -1
         else:
-            s = math.sqrt(rem)
-            lo = math.ceil((resid - s) / diag)
-            hi = math.floor((resid + s) / diag)
+            s = math.sqrt(rem)  # an overflowing quotient is clamped to a huge int, not an error
+            lo = math.ceil(min(max((resid - s) / diag, -_FLOAT_MAX), _FLOAT_MAX))
+            hi = math.floor(min(max((resid + s) / diag, -_FLOAT_MAX), _FLOAT_MAX))
             if q is not None:
                 lo, hi = max(lo, 0), min(hi, q - 1)
         self.a, self.delta, self.hi, self.reach = lo, 0, hi, -1  # delta 0 marks "vb"

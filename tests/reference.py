@@ -14,10 +14,14 @@ preprocessing that a leaner form must match bit for bit: the QR with its
 sign and norm bookkeeping in separate numpy calls, the effective LLL
 loop whose adjacent step goes through the general insertion scan, the
 greedy ordering with array gains and np.outer downdates, and the
-permutation record composed by integer matrix products.  The search's
-ACTIVE lists have theirs too: one deque for lifo and fifo, and the
-level-cost heap of (level, g, seq, node) that marks popped and g2-pruned
-nodes dead and ranks only a level's live nodes when g2 bounds it.
+permutation record composed by integer matrix products.  So are the
+loop forms of the ISI channel and convolutional code construction: the
+Toeplitz matrix column by column, the polynomial taps by right shifts,
+the code matrix entry by entry and the GF(2) reduction with a row scan
+for each pivot.  The search's ACTIVE lists have theirs too: one deque
+for lifo and fifo, and the level-cost heap of (level, g, seq, node)
+that marks popped and g2-pruned nodes dead and ranks only a level's live
+nodes when g2 bounds it.
 
 The exact checks work in Python ints: the Bareiss determinant, the
 unimodularity test, the Hermite normal form with its unimodular record
@@ -447,6 +451,76 @@ def right_preprocess_composed(A, mode="none", lll_delta=0.99, lll_deep=False):
     else:
         Q, R = qr_decompose_signs(work)
     return Q, R, record
+
+
+def isi_toeplitz_loop(taps, frame_len):
+    """latdec.channels.isi_toeplitz filled one column at a time."""
+    taps = np.asarray(taps, dtype=float)
+    L = len(taps) - 1
+    H = np.zeros((frame_len + L, frame_len))
+    for j in range(frame_len):
+        H[j:j + L + 1, j] = taps
+    return H
+
+
+def poly_bits_shift(p):
+    """latdec.channels._poly_bits by right shifts, one bit at a time."""
+    val = int(str(p), 8)
+    if val < 0:  # its right shifts would never reach 0
+        raise ValueError(f"generator polynomial {p!r} is negative")
+    bits = []
+    while val:
+        bits.append(val & 1)
+        val >>= 1
+    bits = bits[::-1]
+    while bits and bits[-1] == 0:
+        bits.pop()
+    return bits or [0]
+
+
+def conv_generator_matrix_loop(gen_polys, info_len):
+    """latdec.channels.conv_generator_matrix entry by entry, over time steps,
+    outputs and tap bits."""
+    taps = [poly_bits_shift(p) for p in gen_polys]
+    mem = max(len(t) for t in taps) - 1
+    n_out = len(gen_polys)
+    k = info_len
+    M = np.zeros((n_out * (k + mem), k), dtype=int)
+    for t in range(k + mem):
+        for p, tap in enumerate(taps):
+            row = t * n_out + p
+            for d, bit in enumerate(tap):
+                i = t - d
+                if bit and 0 <= i < k:
+                    M[row, i] = 1
+    return M
+
+
+def gf2_row_reduce_scan(M):
+    """latdec.channels.gf2_row_reduce with a row scan for each pivot and a
+    row-by-row elimination."""
+    A = (np.asarray(M, dtype=int) % 2).copy()
+    rows, cols = A.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pivot = None
+        for i in range(r, rows):
+            if A[i, c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != r:
+            A[[pivot, r]] = A[[r, pivot]]
+        for i in range(rows):
+            if i != r and A[i, c]:
+                A[i] ^= A[r]
+        pivots.append(c)
+        r += 1
+    return A, pivots
 
 
 class ActiveDeque:

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from reference import (conv_generator_matrix_loop, gf2_row_reduce_scan, isi_toeplitz_loop,
+                       poly_bits_shift)
 from util import transmitted
 
 import latdec
@@ -208,6 +210,33 @@ def test_conv_systematic_large_constraint_length():
 def test_conv_rank_deficient_rejected():
     with pytest.raises(RankDeficientCode):
         channels.conv_code_systematic((0,), 3)  # zero polynomial
+
+
+def _same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+def _same_rref(M):
+    (got, got_pivots), (want, want_pivots) = channels.gf2_row_reduce(M), gf2_row_reduce_scan(M)
+    _same_array(got, want)
+    assert got_pivots == want_pivots and all(type(c) is int for c in got_pivots)
+
+
+def test_isi_construction_is_bit_identical_to_its_loop_forms():
+    for v in range(0o4000):  # every octal polynomial below 4000
+        p = int(oct(v)[2:])
+        assert channels._poly_bits(p) == poly_bits_shift(p)
+    for codes in ((1,), (0,), (2,), (5, 7), (13, 15, 17), (133, 171), (4672, 7542), (40, 7)):
+        for k in range(1, 12):
+            M = channels.conv_generator_matrix(codes, k)
+            _same_array(M, conv_generator_matrix_loop(codes, k))
+            _same_rref(M.T)
+    rng = np.random.default_rng(47)
+    for _ in range(2000):
+        _same_rref(rng.integers(0, 2, size=rng.integers(0, 9, size=2)))
+    for taps in ((1.0,), (1.0, 0.5), (0.848, -0.424, 0.2545, -0.1696, 0.0848)):
+        for frame_len in range(0, 13):
+            _same_array(channels.isi_toeplitz(taps, frame_len), isi_toeplitz_loop(taps, frame_len))
 
 
 def test_negative_generator_polynomial_rejected():

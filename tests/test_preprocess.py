@@ -10,7 +10,7 @@ from latdec.linalg import complex_to_real_matrix, qr_decompose, triangular_colum
 from latdec.preprocess import (apply_back_map, form_tree, left_preprocess,
                                right_preprocess, vblast_greedy_order)
 from reference import greedy_order_pinv, sparsity_index
-from util import contains, node_metric, path_metric
+from util import contains, make_problem, node_metric, path_metric
 
 
 def _pam_code(m, q=2):
@@ -226,6 +226,12 @@ def test_plan_level_view_equals_elementwise(name, frame):
         assert own.lev_rows == problems[0].lev_rows and own.lev_rows is not plan.lev_rows
 
 
+@pytest.mark.parametrize("diag", [-1.0, 0.0, np.nan, np.inf])
+def test_tree_problem_needs_a_positive_finite_diagonal(diag):
+    with pytest.raises(ValueError, match="positive, finite diagonal"):
+        make_problem([[diag]], [0.4])
+
+
 def test_node_metric_matches_vector_norm():
     rng = np.random.default_rng(6)
     inst = latdec.sample_vblast(latdec.VblastConfig(M=3, N=3), latdec.frame_rng(1, 0))
@@ -423,14 +429,14 @@ def test_preprocessing_is_bit_identical_to_its_oracles(monkeypatch):
             want = _result_or_error(lll_reduce_scan, B, delta, deep)
             _same_result(got, want)
             if not np.isfinite(B).all():  # every rank test must reject a NaN or inf basis
-                for fn in (qr_decompose, lll_reduce, vblast_greedy_order):
+                for fn in (qr_decompose, lll_reduce, vblast_greedy_order, right_preprocess):
                     assert _result_or_error(fn, B) is RankDeficient
             for A in (B,) if isinstance(want, type) else (B, want[0]):
                 if np.isfinite(A).all():  # the oracle fails apart on NaN gains
                     assert (_result_or_error(vblast_greedy_order, A)
                             == _result_or_error(greedy_order_outer, A))
-            own_r = B.shape[0] == B.shape[1] and np.all(np.diag(B) > 0) \
-                and not np.tril(B, -1).any()
+            own_r = B.shape[0] == B.shape[1] and np.isfinite(B).all() \
+                and np.all(np.diag(B) > 0) and not np.tril(B, -1).any()
             assert (triangular_columns(B) is not None) == own_r
             # the two QRs sign a NaN column apart, so a NaN basis meets only the test above
             modes = ("none", "lll+permute") if B.shape[1] <= 2 else ("none",)

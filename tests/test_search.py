@@ -211,6 +211,15 @@ def test_budget_hit_flags_and_falls_back():
     assert out2.budget_hit and out2.restarts == 0
 
 
+def test_an_overflowing_interval_runs_into_the_node_budget():
+    # (0.3 -+ 1e154) / 1e-160 overflows a float: the interval's ends are
+    # clamped to huge ints, so the search spends its budget instead of raising
+    prob = make_problem([[1e-160]], [0.3])
+    for policy in (policy_pohst(1e308), policy_vb(1e308)):
+        out = restart_schedule(prob, replace(policy, node_budget=10_000))
+        assert out.budget_hit and out.decoded_label is not None
+
+
 def test_optimal_policies_agree_with_each_other_and_box_oracle():
     agreements = 0
     for seed in range(60):
