@@ -91,7 +91,7 @@ class _Children:
         q = problem.boundary_q
         self.resid, self.diag, self.rank = resid, diag, 0
         if gen == "se":
-            c = resid / diag
+            c = min(max(resid / diag, -_FLOAT_MAX), _FLOAT_MAX)  # clamped like the vb interval
             a = math.floor(c + 0.5)  # nearest integer, half-way ties rounded up
             self.delta = 1 if (c - a) >= 0 else -1
             self.a, self.hi = a, None

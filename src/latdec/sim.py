@@ -384,7 +384,7 @@ def decode_frame(instance, problem, dec: DecoderSpec, on_node=None):
 
     problem is the frame's TreeProblem for a tree search; for exhaustive
     ML it is an oracle.MlPlan of the frame's channel, or None to build one
-    for this call only, which streams the candidates and stores none.
+    for this call only.
     Every branch-and-bound decoder runs through search.restart_schedule,
     which relaxes a finite bound while the search space is empty and makes
     one attempt otherwise.  on_node goes to the tree search, which calls it

@@ -47,9 +47,13 @@ from latdec import channels, oracle, sim
 from latdec.errors import DimensionMismatch, LatdecError, RankDeficient, TooLarge
 from latdec.lattice import UnimodularRecord, _exact_matmul, _int_array
 from latdec.linalg import QR_TOL
-from latdec.oracle import ENUM_CHUNK, ENUM_GUARD
+from latdec.oracle import ENUM_GUARD
 from latdec.preprocess import ORDER_TIE_RTOL, RIGHT_MODES
 from latdec.search import _finish
+
+# Labels per vectorized batch of the reference enumerations, apart from the
+# library's block size, so that they compare two different blockings.
+REF_CHUNK = 4096
 
 
 class SingularDiagonal(LatdecError):
@@ -583,7 +587,7 @@ class ActiveLevelHeap:
                 self.dead.add(nd)
 
 
-def _label_chunks(info_set, m, chunk=4096):
+def _label_chunks(info_set, m, chunk=REF_CHUNK):
     """Candidate labels of an explicit or hypercube information set, in
     lexicographic order for a hypercube, as int arrays of at most `chunk` rows."""
     if info_set.kind == "explicit":
@@ -778,8 +782,8 @@ def box_clps(problem, box):
     best_d = math.inf
     best_label = None
     weights = np.concatenate([np.cumprod(widths[::-1])[::-1][1:], [1]]).astype(np.int64)
-    for start in range(0, total, ENUM_CHUNK):
-        idx = np.arange(start, min(start + ENUM_CHUNK, total), dtype=np.int64)
+    for start in range(0, total, REF_CHUNK):
+        idx = np.arange(start, min(start + REF_CHUNK, total), dtype=np.int64)
         Z = lo[None, :] + (idx[:, None] // weights[None, :]) % widths[None, :]
         Zphys = Z[:, ::-1]
         diff = y[None, :] - Zphys @ R.T

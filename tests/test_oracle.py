@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -78,7 +79,7 @@ def test_ml_plan_reused_on_static_isi_channel_matches_reference(snr_db):
         if plan is None:
             plan = oracle.MlPlan(inst.H, inst.code)
         _assert_plan_matches_reference(inst, plan)
-    assert sum(len(X) for X, _ in plan.candidates) == len(inst.code.info_set.labels)
+    assert sum(len(X) for X, _ in plan.blocks) == len(inst.code.info_set.labels)
 
 
 def test_ml_plan_on_fixed_vblast_hypercube_matches_reference():
@@ -91,46 +92,61 @@ def test_ml_plan_on_fixed_vblast_hypercube_matches_reference():
             if plan is None:
                 plan = oracle.MlPlan(inst.H, inst.code)
             _assert_plan_matches_reference(inst, plan)
-        assert plan.candidates is None  # a hypercube is enumerated per call
+        assert plan.blocks is None  # a hypercube is enumerated per call
 
 
-def test_ml_streams_candidates_until_a_plan_is_reused(monkeypatch):
-    # the plan a one-shot call builds and a plan used once store no candidate
-    # outputs; a reused plan stores them read-only, and every use matches the
-    # reference
-    plans = []
+def _block_arrays(plan, inst):
+    """The arrays each block of an exhaustive_ml call works on: its float
+    labels, its noiseless outputs and its residuals."""
+    base = inst.received - plan.offset
+    for X, outputs in plan.iter_blocks():
+        yield from (X.astype(float), outputs, base - outputs)
 
-    class RecordedPlan(oracle.MlPlan):
-        def __init__(self, H, code):
-            super().__init__(H, code)
-            plans.append(self)
 
+def test_ml_plan_forms_explicit_blocks_once_in_arrays_under_64_kib():
+    # an explicit plan holds its blocks, read-only, from construction on; a
+    # hypercube plan holds none.  Every per-call array stays under 64 KiB with
+    # room for the allocator's header, so that freeing it never trims the heap
+    # and no call faults its pages in again
     cfg = latdec.IsiConfig(taps=ISI_TAPS, frame_len=24, gen_polys=(5, 7), rho=10.0)
     insts = [latdec.build_isi_instance(cfg, latdec.frame_rng(9, 1, f)) for f in range(3)]
-    monkeypatch.setattr(oracle, "MlPlan", RecordedPlan)
-    oracle.exhaustive_ml(insts[0])
-    monkeypatch.undo()
-    assert len(plans) == 1 and plans[0].candidates is None
     plan = oracle.MlPlan(insts[0].H, insts[0].code)
-    _assert_plan_matches_reference(insts[0], plan)
-    assert plan.candidates is None
-    for inst in insts[1:]:
+    assert len(plan.blocks) == 4  # 1024 codewords of 28 outputs, 288 rows a block
+    for X, outputs in plan.blocks:
+        for a in (X, outputs):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0
+    for inst in insts:
         _assert_plan_matches_reference(inst, plan)
-        assert len(plan.candidates) == 1  # 1024 codewords, one chunk
-    outputs = plan.candidates[0][1]
-    with pytest.raises(ValueError, match="read-only"):
-        outputs[0, 0] = 0.0
+    assert all(a.nbytes <= 2**16 - 2**10 for a in _block_arrays(plan, insts[0]))
+
+    vblast = latdec.sample_vblast(latdec.VblastConfig(M=8, N=8, Q=2, rho=10.0),
+                                  latdec.frame_rng(9, 2))
+    m = 20  # the widest hypercube that exhaustive ML enumerates
+    assert oracle.enumerable(2**m) and not oracle.enumerable(2**(m + 1))
+    widest = latdec.ChannelInstance(
+        H=np.eye(m), code=LatticeCode(np.eye(m), np.zeros(m), InfoSet("hypercube", q=2)),
+        x_true=np.zeros(m, dtype=int), received=np.zeros(m))
+    for inst in (vblast, widest):
+        plan = oracle.MlPlan(inst.H, inst.code)
+        assert plan.blocks is None
+        first_two = itertools.islice(_block_arrays(plan, inst), 6)
+        assert all(a.nbytes <= 2**16 - 2**10 for a in first_two)
+    _assert_plan_matches_reference(vblast, oracle.MlPlan(vblast.H, vblast.code))
 
 
 @pytest.mark.parametrize("rest, order", [(0.5, None), (-1.0, None), (-1.0, "descending"),
                                          (0.5, "shuffled")],
                          ids=["0.5", "-1.0", "-1.0-explicit-descending", "0.5-explicit-shuffled"])
 def test_ml_plan_ties_across_chunks_match_reference(rest, order):
-    # 2^13 labels, two chunks of 4096.  rest=0.5: every label is at the same
-    # distance; rest=-1: one closest label in each chunk, (0,..,0) and
-    # (1,0,..,0), at the same distance.  The hypercube comes in lexicographic
-    # order; the same labels listed explicitly in descending or shuffled
-    # order come out of InfoSet in lexicographic order too
+    # 2^13 labels in blocks of plan.rows labels.  rest=0.5: every label is
+    # at the same distance.  rest=-1: exactly two closest labels at the same
+    # distance, (0,..,0) and `tied`, the first label of the second block.  H
+    # then ties each of tied's ones to the next, holds every other coordinate
+    # at 0 (received -1), and puts tied's first one half-way between 0 and 1.
+    # The hypercube comes in lexicographic order; the same labels listed
+    # explicitly in descending or shuffled order come out of InfoSet in
+    # lexicographic order too
     m = 13
     if order is None:
         info_set = InfoSet("hypercube", q=2)
@@ -140,15 +156,27 @@ def test_ml_plan_ties_across_chunks_match_reference(rest, order):
         info_set = InfoSet("explicit", labels=(idx[:, None] >> np.arange(m - 1, -1, -1)) & 1)
         assert info_set.labels.tolist() == sorted(info_set.labels.tolist())
     code = LatticeCode(np.eye(m), np.zeros(m), info_set)
+    H = np.eye(m)
+    rows = oracle.MlPlan(H, code).rows  # the same for the H below, of the same shape
+    assert rows < 2**m
+    tied = (rows >> np.arange(m - 1, -1, -1)) & 1
     received = np.full(m, rest)
-    received[0] = 0.5
-    inst = latdec.ChannelInstance(H=np.eye(m), code=code, x_true=np.zeros(m, dtype=int),
+    if rest < 0:
+        ones = np.flatnonzero(tied)
+        H[ones[1:], ones[:-1]] = 1.0
+        H[ones[1:], ones[1:]] = -1.0
+        received[ones] = 0.0
+        received[ones[0]] = 0.5
+    inst = latdec.ChannelInstance(H=H, code=code, x_true=np.zeros(m, dtype=int),
                                   received=received)
     plan = oracle.MlPlan(inst.H, inst.code)
     res = oracle.exhaustive_ml(inst, plan)
     assert not res.label.any()
-    e0 = np.eye(m)[0]  # the first label of the second chunk, at the same distance
-    assert res.distance == (received - e0) @ (received - e0)
+    assert res.distance == (received - H @ tied) @ (received - H @ tied)
+    labels = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    dists = ((received - labels @ H.T) ** 2).sum(axis=1)
+    assert np.flatnonzero(dists == dists.min()).tolist() == \
+        (list(range(2**m)) if rest > 0 else [0, rows])
     _assert_plan_matches_reference(inst, plan)  # the plan's second use
 
 

@@ -220,6 +220,18 @@ def test_an_overflowing_interval_runs_into_the_node_budget():
         assert out.budget_hit and out.decoded_label is not None
 
 
+def test_an_overflowing_zigzag_centre_still_decides():
+    # 1e10 / 1e-300 overflows a float: the se centre is clamped to a huge int
+    # like the vb interval, so the searches decide and Fano, whose every
+    # child fits, ends on its node budget with the Babai fallback
+    prob = make_problem([[1e-300]], [1e10])
+    for out in (gbb_run(prob, policy_se()), restart_schedule(prob, policy_se())):
+        assert out.decoded_label is not None and not out.budget_hit
+    out = fano_decode(prob, bias=1.0, node_budget=1000)
+    assert out.budget_hit
+    assert out.decoded_label == gbb_run(prob, policy_babai()).decoded_label
+
+
 def test_optimal_policies_agree_with_each_other_and_box_oracle():
     agreements = 0
     for seed in range(60):
