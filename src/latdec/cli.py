@@ -40,7 +40,11 @@ def _load_json(path):
 
 
 def _report_json(report):
-    return {"decoder": report.decoder, "rows": report.rows()}
+    """The report's rows, each with its point's restarts, budget hits and
+    shadow-oracle disagreements, so that no count reaches only stderr."""
+    return {"decoder": report.decoder,
+            "rows": [{**p.row(), "shadow_disagreements": p.shadow_disagreements}
+                     for p in report.points]}
 
 
 def _write_outputs(args, csv_text, report_json):

@@ -1,4 +1,4 @@
-"""Dense real linear algebra primitives: QR and the complex-to-real embedding.
+"""Dense real linear algebra primitives: QR, its rank rule and the complex-to-real embedding.
 
 Matrices are plain numpy arrays (float64, row-major); complex inputs are
 numpy complex128 arrays.  All functions are pure.
@@ -26,14 +26,22 @@ def qr_decompose(A):
     if not np.isfinite(A).all():
         raise RankDeficient("non-finite entries")
     Q, R = np.linalg.qr(A, mode="reduced")
-    d = R.diagonal()
+    if not full_rank(A, R):
+        raise RankDeficient("R diagonal below rank tolerance")
+    signs = np.where(R.diagonal() < 0.0, -1.0, 1.0)
+    return Q * signs, R * signs[:, np.newaxis]
+
+
+def full_rank(A, R):
+    """The one rank rule: whether R, the triangular factor of a QR of A,
+    has a row per column of A and every |r_ii| at least QR_TOL times A's
+    largest column norm.  False when A or R has a NaN or an infinite entry."""
+    if A.shape[1] == 0 or R.shape[0] < A.shape[1]:
+        return False
     # the largest column norm: sqrt is correctly rounded and monotone, so
     # sqrt(max) is max(sqrt), the value np.linalg.norm(A, axis=0).max() gives
-    scale = math.sqrt((A * A).sum(axis=0).max()) if A.shape[1] else 0.0
-    if not (scale > 0.0 and np.abs(d).min() >= QR_TOL * scale):  # so a NaN fails
-        raise RankDeficient("R diagonal below rank tolerance")
-    signs = np.where(d < 0.0, -1.0, 1.0)
-    return Q * signs, R * signs[:, np.newaxis]
+    scale = math.sqrt((A * A).sum(axis=0).max())
+    return 0.0 < scale < math.inf and np.abs(R.diagonal()).min() >= QR_TOL * scale  # NaN: False
 
 
 def complex_to_real_matrix(M):

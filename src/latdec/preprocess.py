@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IncompatibleBoundary, RankDeficient
 from .lattice import LatticeCode, UnimodularRecord
-from .linalg import qr_decompose, triangular_columns
+from .linalg import full_rank, qr_decompose, triangular_columns
 
 LEFT_MODES = ("zf", "mmse")
 RIGHT_MODES = ("none", "lll", "permute", "lll+permute")
@@ -76,16 +76,16 @@ def vblast_greedy_order(A):
     (Benesty, Huang and Chen, IEEE TSP 2003): O(m^3) in all.  Each step
     reads the diagonal once as Python floats, picks among the remaining
     columns there, and downdates P with one outer product; the column left
-    last is detected first without a step.  A basis with a NaN entry
-    raises RankDeficient, and so does one that is rank deficient in
-    floating point even where |diag R| does not show it: some downdated
-    diagonal entry of P is then not positive and finite.
+    last is detected first without a step.  A basis that fails
+    linalg.full_rank, the rank rule of qr_decompose (a NaN or an infinite
+    entry fails it too), raises RankDeficient, and so does one that is rank
+    deficient in floating point even where |diag R| does not show it: some
+    downdated diagonal entry of P is then not positive and finite.
     """
     A = np.asarray(A, dtype=float)
     m = A.shape[1]
     R = np.linalg.qr(A, mode="r")
-    d = np.abs(np.diag(R))
-    if R.shape[0] < m or not d.min() > d.max() * max(A.shape) * np.finfo(float).eps:
+    if not full_rank(A, R):
         raise RankDeficient("ordering needs full column rank")
     R_inv = np.linalg.inv(R)
     P = R_inv @ R_inv.T

@@ -7,7 +7,9 @@ the transmitted ones.  Every frame gets its own RNG substream keyed by
 regardless of the worker count; the stopping rule is evaluated at fixed
 chunk boundaries for the same reason.
 
-A chunk of frames runs in stages: sample every frame; then, frame by
+A chunk of frames runs in stages: sample every frame; on a static channel
+with exhaustive ML (an `ml` config or the shadow oracle), narrow the ML
+plan to each frame's shortlist (oracle.MlPlan.narrow); then, frame by
 frame and config by config, the plan (one per preprocessing, kept for the
 chunk on a static channel and rebuilt per frame on a fading one), the
 frame's problem, the decode and the shadow-oracle check; last, the tally
@@ -383,8 +385,9 @@ def decode_frame(instance, problem, dec: DecoderSpec, on_node=None):
     """Decode one preprocessed frame with the configured decoder.
 
     problem is the frame's TreeProblem for a tree search; for exhaustive
-    ML it is an oracle.MlPlan of the frame's channel, or None to build one
-    for this call only.
+    ML it is an oracle.MlPlan of the frame's channel, the frame's own plan
+    from MlPlan.narrow (the same decision from its shortlist), or None to
+    build a plan for this call only.
     Every branch-and-bound decoder runs through search.restart_schedule,
     which relaxes a finite bound while the search space is empty and makes
     one attempt otherwise.  on_node goes to the tree search, which calls it
@@ -507,11 +510,16 @@ def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limi
              for frame in frame_ids]
     plans = {}  # TreePlans keyed by PreprocSpec, shared between configs; "ml": MlPlan
     static_channel = base.fixed_channel or kind.static
+    shortlists = None  # on a static channel, each frame's narrowed MlPlan
+    if static_channel and any(c.decoder.name == "ml" or c.shadow_oracle for c in cfgs):
+        shortlists = _ml_plan(plans, insts[0]).narrow([inst.received for inst in insts])
     results = [[] for _ in cfgs]
     shadow = [0] * len(cfgs)
-    for inst in insts:
+    for fi, inst in enumerate(insts):
         ml_dist = None  # the frame's ML distance, from an ml decode or one oracle call
-        if not static_channel:
+        if shortlists:
+            plans["ml"] = shortlists[fi]
+        elif not static_channel:
             plans.clear()
         for ci, cfg in enumerate(cfgs):
             if cfg.decoder.name == "ml":

@@ -409,8 +409,10 @@ def greedy_order_outer(A):
     A = np.asarray(A, dtype=float)
     m = A.shape[1]
     R = np.linalg.qr(A, mode="r")
-    d = np.abs(np.diag(R))
-    if R.shape[0] < m or d.min() <= d.max() * max(A.shape) * np.finfo(float).eps:
+    col_norms = np.linalg.norm(A, axis=0)
+    scale = col_norms.max() if col_norms.size else 0.0
+    if R.shape[0] < m or not (0.0 < scale < math.inf
+                              and np.abs(np.diag(R)).min() >= QR_TOL * scale):
         raise RankDeficient("ordering needs full column rank")
     R_inv = np.linalg.inv(R)
     P = R_inv @ R_inv.T

@@ -5,7 +5,8 @@ from reference import SingularDiagonal, back_substitute
 from util import complex_to_real_vector
 
 from latdec.errors import RankDeficient
-from latdec.linalg import complex_to_real_matrix, qr_decompose
+from latdec.linalg import QR_TOL, complex_to_real_matrix, full_rank, qr_decompose
+from latdec.preprocess import vblast_greedy_order
 
 
 def test_qr_identity():
@@ -37,6 +38,20 @@ def test_qr_rank_deficient():
         qr_decompose(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
     with pytest.raises(RankDeficient):
         qr_decompose(np.ones((2, 3)))  # wide
+
+
+@pytest.mark.parametrize("small, ok", [(2 * QR_TOL, True), (QR_TOL / 2, False), (0.0, False),
+                                       (np.nan, False), (np.inf, False)])
+def test_one_rank_rule_serves_qr_and_the_ordering(small, ok):
+    # the smallest |r_ii| against QR_TOL times the largest column norm (1 here)
+    A = np.diag([1.0, small, 0.5])
+    assert full_rank(A, np.linalg.qr(A, mode="r")) == ok
+    for fn in (qr_decompose, vblast_greedy_order):
+        if ok:
+            fn(A)
+        else:
+            with pytest.raises(RankDeficient):
+                fn(A)
 
 
 def test_qr_randomized_properties():

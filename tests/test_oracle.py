@@ -1,4 +1,6 @@
 import itertools
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -178,6 +180,168 @@ def test_ml_plan_ties_across_chunks_match_reference(rest, order):
     assert np.flatnonzero(dists == dists.min()).tolist() == \
         (list(range(2**m)) if rest > 0 else [0, rows])
     _assert_plan_matches_reference(inst, plan)  # the plan's second use
+
+
+def _assert_narrowed_match_reference(insts, plan, received=None):
+    """Every frame's narrowed plan decides like the reference loop; returns
+    the shortlists' labels, one list of label tuples per frame."""
+    if received is None:
+        received = [inst.received for inst in insts]
+    narrowed = plan.narrow(received)
+    assert len(narrowed) == len(insts)
+    shortlists = []
+    for inst, short in zip(insts, narrowed):
+        assert short is not plan and short.offset is plan.offset
+        label, distance = exhaustive_ml_loop(inst)
+        res = oracle.exhaustive_ml(inst, short)
+        assert np.array_equal(res.label, label) and res.distance == distance
+        shortlists.append([tuple(x) for X, _ in short.iter_blocks() for x in X.tolist()])
+        assert shortlists[-1] == sorted(shortlists[-1])  # lexicographic, like the plan
+    return shortlists
+
+
+@pytest.mark.parametrize("snr_db", [-5.0, 4.0, 20.0])
+def test_narrowed_isi_frames_match_reference(snr_db):
+    cfg = latdec.IsiConfig(taps=ISI_TAPS, frame_len=24, gen_polys=(5, 7),
+                           rho=10.0 ** (snr_db / 10.0))
+    insts = [latdec.build_isi_instance(cfg, latdec.frame_rng(11, 0, f)) for f in range(100)]
+    plan = oracle.MlPlan(insts[0].H, insts[0].code)
+    # a chunk's received vectors as a list, as a sweep passes them, and as an array
+    shortlists = _assert_narrowed_match_reference(insts, plan)
+    assert _assert_narrowed_match_reference(
+        insts, plan, np.array([inst.received for inst in insts])) == shortlists
+    assert max(map(len, shortlists)) == 1
+
+
+def test_narrowed_frames_far_from_every_candidate_match_reference():
+    # |b| far above the distance gaps, so the tolerance (which grows with
+    # |b|^2) spans many candidates; and a huge code translate, which the
+    # plan's offset cancels before the base is formed
+    cfg = latdec.IsiConfig(taps=ISI_TAPS, frame_len=24, gen_polys=(5, 7), rho=10.0)
+    insts = [latdec.build_isi_instance(cfg, latdec.frame_rng(12, 0, f)) for f in range(40)]
+    direction = np.random.default_rng(12).standard_normal(insts[0].H.shape[0])
+    plan = oracle.MlPlan(insts[0].H, insts[0].code)
+    longest = []
+    for shift in (1e4, 1e9, 1e13):
+        far = [replace(inst, received=inst.received + shift * direction) for inst in insts]
+        longest.append(max(map(len, _assert_narrowed_match_reference(far, plan))))
+    assert longest[0] == 1 and longest[-1] > 1
+    code = replace(insts[0].code, translate=insts[0].code.translate + 1e9)
+    moved = [replace(inst, code=code, received=inst.received + inst.H @ np.full(24, 1e9))
+             for inst in insts]
+    _assert_narrowed_match_reference(moved, oracle.MlPlan(moved[0].H, code))
+
+
+def test_narrowing_keeps_an_exact_tie_across_blocks():
+    # labels 0 and `tied`, the first label of the second block, at exactly
+    # the same distance from b = o/2, o the plan's own output of `tied`
+    # (then b - o = -b bit for bit); every other label is farther: H'H is
+    # I - J/(2t) on tied's t ones, so each proper sub-label of tied is
+    # farther.  With this rotation the expanded distance of `tied` rounds
+    # away from that of 0, so narrowing with no tolerance keeps one label
+    m = 13
+    code = LatticeCode(np.eye(m), np.zeros(m), InfoSet("hypercube", q=2))
+    rows = oracle.MlPlan(np.eye(m), code).rows
+    tied = (rows >> np.arange(m - 1, -1, -1)) & 1
+    ones = np.flatnonzero(tied)
+    gram = np.eye(m)
+    gram[np.ix_(ones, ones)] -= 0.5 / len(ones)
+    rotation = np.linalg.qr(np.random.default_rng(6).standard_normal((m, m)))[0]
+    H = rotation @ np.linalg.cholesky(gram).T
+    plan = oracle.MlPlan(H, code)
+    second = next(itertools.islice(plan.iter_blocks(), 1, None))
+    assert np.array_equal(second[0][0], tied)
+    inst = latdec.ChannelInstance(H=H, code=code, x_true=np.zeros(m, dtype=int),
+                                  received=second[1][0] / 2)
+    labels = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    diff = inst.received - labels @ H.T
+    dists = np.einsum("ij,ij->i", diff, diff)
+    assert np.flatnonzero(dists == dists.min()).tolist() == [0, rows]
+    shortlist, = _assert_narrowed_match_reference([inst], plan)
+    assert shortlist[0] == (0,) * m and tuple(tied) in shortlist
+    assert not oracle.exhaustive_ml(inst, plan).label.any()
+
+
+def test_narrowed_fixed_vblast_channel_matches_reference():
+    cfg = latdec.VblastConfig(M=3, N=3, Q=4, rho=10.0)
+    channel = latdec.channels.draw_mimo_channel(cfg, latdec.frame_rng(13, 0))
+    insts = [latdec.sample_vblast(cfg, latdec.frame_rng(13, 0, f), channel=channel)
+             for f in range(60)]
+    plan = oracle.MlPlan(insts[0].H, insts[0].code)
+    assert plan.blocks is None and len(list(plan.iter_blocks())) > 1
+    _assert_narrowed_match_reference(insts, plan)
+    # a batch of one frame, and of none
+    _assert_narrowed_match_reference(insts[:1], plan)
+    assert plan.narrow(np.empty((0, len(plan.offset)))) == []
+
+
+def test_narrowing_hands_back_the_full_plan_without_a_finite_tolerance():
+    inst = latdec.sample_vblast(latdec.VblastConfig(M=2, N=2, Q=2), latdec.frame_rng(0, 0))
+    plan = oracle.MlPlan(inst.H, inst.code)
+    bad = inst.received.copy()
+    bad[0] = np.nan
+    short, full = plan.narrow([inst.received, bad])
+    assert short is not plan and full is plan
+    with pytest.raises(ValueError, match="^received: non-finite entries$"):
+        oracle.exhaustive_ml(replace(inst, received=bad), full)
+
+
+def _largest_allocations(fn, *args):
+    """fn(*args), and per line of MlPlan.narrow and MlPlan._expanded the size
+    of the largest block of memory that it allocated and still held at the
+    next line event: every named array, and so every temporary of those
+    lines, none of which is larger than the array its line names.  A line
+    is looked at when tracemalloc's peak rose by 16 KiB or more over it."""
+    codes = {oracle.MlPlan.narrow.__code__, oracle.MlPlan._expanded.__code__}
+    lines = sorted({line for code in codes for _, _, line in code.co_lines() if line})
+    only_here = [tracemalloc.Filter(True, oracle.__file__, lineno=line) for line in lines]
+    largest = {}
+    before = [0]
+
+    def look(frame, event, arg):
+        current, peak = tracemalloc.get_traced_memory()
+        if peak - before[0] >= 2**14:
+            for trace in tracemalloc.take_snapshot().filter_traces(only_here).traces:
+                line = trace.traceback[0].lineno
+                largest[line] = max(largest.get(line, 0), trace.size)
+        tracemalloc.reset_peak()
+        before[0] = tracemalloc.get_traced_memory()[0]
+        return look
+
+    tracemalloc.start(1)
+    sys.settrace(lambda frame, event, arg: look if frame.f_code in codes else None)
+    try:
+        out = fn(*args)
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    return out, largest
+
+
+def test_narrowing_allocates_no_array_of_64_kib():
+    # freeing an array of 64 KiB or more trims the heap, and the next chunk
+    # faults its pages in again; so narrowing stays in blocks like
+    # exhaustive_ml, frames in batches of BLOCK_BYTES // (8 max(rows, outputs));
+    # on the tall channel (400 outputs, 20 rows) the outputs bound the batch
+    isi = latdec.IsiConfig(taps=ISI_TAPS, frame_len=24, gen_polys=(5, 7), rho=10.0)
+    chunks = [[latdec.build_isi_instance(isi, latdec.frame_rng(14, 0, f)) for f in range(30)]]
+    for vblast in (latdec.VblastConfig(M=6, N=6, Q=2, rho=10.0),
+                   latdec.VblastConfig(M=2, N=200, Q=2, rho=10.0)):
+        channel = latdec.channels.draw_mimo_channel(vblast, latdec.frame_rng(14, 0))
+        chunks.append([latdec.sample_vblast(vblast, latdec.frame_rng(14, 0, f), channel=channel)
+                       for f in range(30)])
+    for insts in chunks:
+        plan = oracle.MlPlan(insts[0].H, insts[0].code)
+        width = max(plan.rows, len(plan.offset))
+        batch = oracle.BLOCK_BYTES // (8 * width)
+        assert 8 * batch * width <= oracle.BLOCK_BYTES < len(insts) * 8 * width
+        narrowed, largest = _largest_allocations(plan.narrow,
+                                                 [inst.received for inst in insts])
+        assert 8 * batch * width in largest.values()  # it sees the batch's GEMM or bases
+        assert max(largest.values()) <= oracle.BLOCK_BYTES
+        for inst, short in zip(insts, narrowed):
+            assert oracle.exhaustive_ml(inst, short).distance == \
+                oracle.exhaustive_ml(inst, plan).distance
 
 
 def test_exhaustive_ml_rejects_non_finite_inputs():

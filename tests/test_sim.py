@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -209,6 +211,74 @@ def test_bad_input_fails_early_naming_the_field(build, error, match):
         built = build()
         if isinstance(built, dict):
             sim.parse_config(built)
+
+
+# one small channel or more of every type in sim.CHANNELS: N >= M and N < M,
+# a hypercube and a coded information set
+SMALL_CHANNELS = [
+    {"type": "vblast", "M": 2, "N": 2, "Q": 2},
+    {"type": "vblast", "M": 2, "N": 1, "Q": 4},
+    {"type": "ld", "M": 1, "N": 2, "T": 2, "generator_seed": 3},
+    {"type": "isi", "taps": [1.0, 0.5], "frame_len": 3},
+    ISI_ML_CHANNEL,
+]
+# a sample value of every decoder parameter, given the lattice dimension
+DECODER_SAMPLES = {"bias": lambda m: 0.5, "step": lambda m: 1.0, "radius": lambda m: 1.0,
+                   "bounds": lambda m: [2.0] * m, "weights": lambda m: [1.0] * m,
+                   "M": lambda m: 2, "T": lambda m: 1.0}
+FIELD_NAMES = set(sim._CONFIG_FIELD_RULES) | set(sim._PREPROC_FIELD_RULES) | \
+    set(sim._DECODER_FIELD_RULES) | {k for kind in sim.CHANNELS.values() for k in kind.rules}
+
+
+def _generated_configs():
+    """Every config of the product of the rule tables on the small channels:
+    each decoder with its default and a tiny node budget, every preproc
+    mode and flag, with and without the shadow oracle and a fixed channel."""
+    assert {ch["type"] for ch in SMALL_CHANNELS} == set(sim.CHANNELS)
+    for channel in SMALL_CHANNELS:
+        kind = sim.CHANNELS[channel["type"]]
+        m = kind.dim(sim.parse_channel(channel))
+        for name, dec in sim.DECODERS.items():
+            params = {k: DECODER_SAMPLES[k](m) for k in dec.fields}
+            for budget in ({}, {"budget": 3}):
+                for left, right, boundary, deep, shadow, fixed in itertools.product(
+                        latdec.preprocess.LEFT_MODES, latdec.preprocess.RIGHT_MODES,
+                        latdec.preprocess.BOUNDARIES, (False, True), (False, True),
+                        (False, True)):
+                    yield _base_config(
+                        channel=channel, decoder={"name": name, **params, **budget},
+                        preproc={"left": left, "right": right, "boundary": boundary,
+                                 "lll_deep": deep},
+                        snr_grid_db=[6.0], trials=1, shadow_oracle=shadow,
+                        fixed_channel=fixed)
+
+
+def test_every_generated_config_fails_naming_a_field_or_decodes():
+    # a config either fails at parse time, naming the field, or runs; the
+    # configs that parse run in one compare_decoders call per channel and
+    # fixed_channel setting, and on a failure one by one, to name the config
+    parsed, rejected = {}, 0
+    for d in _generated_configs():
+        try:
+            cfg = sim.parse_config(d)
+        except ConfigError as err:
+            named = re.search(r"field '(\w+)'", str(err))
+            assert named and named.group(1) in FIELD_NAMES, (d, err)
+            rejected += 1
+            continue
+        parsed.setdefault((json.dumps(d["channel"]), d["fixed_channel"]), []).append(cfg)
+    assert len(parsed) == 2 * len(SMALL_CHANNELS) and 0 < rejected
+    for cfgs in parsed.values():
+        try:
+            reports = sim.compare_decoders(cfgs)
+        except Exception:
+            for cfg in cfgs:
+                try:
+                    sim.run_sweep(cfg)
+                except Exception as err:
+                    raise AssertionError(f"{cfg} raised {err!r}") from err
+            raise
+        assert all(rep.points[0].trials == 1 for rep in reports)
 
 
 def test_ml_parses_up_to_the_enumeration_guard():
@@ -712,6 +782,27 @@ def test_cli_compare(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("decoder,snr_db,")
     assert len(lines) == 3
+
+
+def test_cli_simulate_json_carries_every_count(tmp_path, capsys):
+    # restarts (a radius too small), budget hits and shadow-oracle
+    # disagreements (the Babai point a budget hit ends on) per point, in the
+    # JSON report as well as on stderr
+    cfg = _base_config(trials=60, snr_grid_db=[4.0, 8.0],
+                       decoder={"name": "pohst", "radius": 0.05, "budget": 8})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    js = tmp_path / "report.json"
+    assert cli.main(["simulate", str(path), "--shadow-oracle", "--out",
+                     str(tmp_path / "o.csv"), "--json", str(js)]) == 0
+    rows = json.loads(js.read_text())["rows"]
+    points = sim.run_sweep(sim.parse_config(dict(cfg, shadow_oracle=True))).points
+    counts = ("restarts", "budget_hits", "shadow_disagreements")
+    assert [[row[k] for k in counts] for row in rows] == \
+        [[getattr(p, k) for k in counts] for p in points]
+    assert all(sum(row[k] for row in rows) > 0 for k in counts)
+    shadows = sum(row["shadow_disagreements"] for row in rows)
+    assert f"shadow oracle disagreements: {shadows}" in capsys.readouterr().err
 
 
 def test_cli_reduce(tmp_path, capsys):
