@@ -42,27 +42,66 @@ def _max_abs(A):
     return float(np.abs(A).view(np.uint64).max())
 
 
-@dataclass
+def _frozen(a):
+    """A read-only copy of the array a, so that nothing can write a record's entries."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class UnimodularRecord:
     """Exact integer change-of-basis pair with T @ T_inv == I.
 
     Entries are int64, or Python ints in object arrays where int64 could
-    overflow.
+    overflow.  A record is immutable: it keeps read-only copies of the
+    arrays it is given.  So `bound`, n * max|T_inv| of an int64 record
+    (None for any other), is decided once, when the record is built.
     """
 
     T: np.ndarray
     T_inv: np.ndarray
+    bound: float | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        T_inv = _frozen(self.T_inv)
+        object.__setattr__(self, "T", _frozen(self.T))
+        object.__setattr__(self, "T_inv", T_inv)
+        bound = None
+        if T_inv.dtype == np.int64 and T_inv.size:
+            bound = T_inv.shape[1] * _max_abs(T_inv)  # the first product of _exact_matmul's test
+        object.__setattr__(self, "bound", bound)
 
     @classmethod
     def identity(cls, n):
         return cls(np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64))
+
+    def permuted(self, perm):
+        """The record of the basis with its columns in the order perm.  A
+        permutation keeps max|T_inv|, so the new record keeps this bound."""
+        T, T_inv = self.T[perm], self.T_inv[:, perm]  # new arrays that nothing else holds
+        T.flags.writeable = T_inv.flags.writeable = False
+        rec = object.__new__(UnimodularRecord)
+        for name, value in (("T", T), ("T_inv", T_inv), ("bound", self.bound)):
+            object.__setattr__(rec, name, value)
+        return rec
 
     def verify(self):
         n = self.T.shape[0]
         return bool(np.array_equal(_exact_matmul(self.T, self.T_inv), np.eye(n, dtype=np.int64)))
 
     def inverse_times(self, z):
-        """T_inv @ z, exactly, for a sequence z of integers."""
+        """T_inv @ z, exactly, for a sequence z of integers.
+
+        It reaches the decision of _exact_matmul(T_inv, z) from the record's
+        bound and max|z|, taken from z's entries as Python ints: int64 when
+        bound * max|z| < 2**62.  Any other z goes to _exact_matmul itself,
+        and a z past int64, however large, is never converted to a float."""
+        bound = self.bound
+        if bound is not None and len(z):
+            zmax = max(int(max(z)), -int(min(z)))
+            if zmax < 2**63 and bound * zmax < _INT64_SAFE:
+                return self.T_inv @ np.array(z, dtype=np.int64)
         return _exact_matmul(self.T_inv, _int_array(z))
 
 

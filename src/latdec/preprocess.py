@@ -128,7 +128,7 @@ def right_preprocess(A, mode="none", lll_delta=0.99, lll_deep=False):
     if mode in ("permute", "lll+permute"):
         perm = vblast_greedy_order(work)
         work = work[:, perm]
-        record = UnimodularRecord(T=record.T[perm], T_inv=record.T_inv[:, perm])
+        record = record.permuted(perm)
     if triangular_columns(work) is not None:
         return np.eye(m), work, record  # already upper triangular, QR is trivial
     return (*qr_decompose(work), record)

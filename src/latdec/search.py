@@ -8,19 +8,12 @@ invalid node (path metric beyond its level's bound) and an exhausted node
 exactly one more child, the counter and rule g2 are applied, and the list
 is re-sorted.  Rule g1 holds for every decoder: the breadth-first ones meet
 leaves only after every inner node, and Babai and stack stop at their
-first leaf.  A decoder is a SearchPolicy bundle of:
-
-  * a sort rule for the ACTIVE list ("lifo" depth-first, "fifo" breadth-
-    first, "cost" best-first, "level-cost" breadth-first by level), each
-    kept in a container whose order is its tie rule: a list stack, a cost
-    heap, or one level list that level-cost sorts and bounds by g2;
-  * a child generation order ("se" zigzag around the unconstrained
-    minimizer, "vb" ascending from the low end of the admissible interval);
-  * a bounding vector t (per level, +inf allowed) with a strict or
-    non-strict validity comparison;
-  * rule g2, the per-level pruning of the M- and T-algorithms;
-  * a bias b used by the best-first cost f = path_metric - b * level;
-  * first_leaf_exit: the first leaf on top ends the search (Babai, stack).
+first leaf.  A decoder is a SearchPolicy bundle: the sort rule of the
+ACTIVE list (kept in a container whose order is its tie rule: a list
+stack, a cost heap, or one level list that level-cost sorts and bounds by
+g2), the child order, the bounding vector t and its strictness, rule g2,
+the bias b of the best-first cost f = path_metric - b * level, and
+first_leaf_exit.  README's decoder table gives each policy_* bundle.
 
 Children come from one lazy generator per node (_Children) that yields the
 next-level coordinates in the policy's order, each with its level metric.
@@ -77,6 +70,9 @@ class _Children:
     bounding the Pohst interval of the remaining budget `rem` in the box
     (the box when rem is infinite), skipping children that no longer fit.
     `rank` is the position of the next child; the caller advances it.
+    The residual resid is the level's y less the products of its row and
+    the label, subtracted one by one in label order; c and the interval
+    ends are clamped to +-_FLOAT_MAX (a NaN c passes through unchanged).
     """
 
     __slots__ = ("resid", "diag", "a", "delta", "hi", "reach", "rank")
@@ -85,13 +81,17 @@ class _Children:
         k = len(label)
         row = problem.lev_rows[k]
         resid = problem.lev_y[k]
-        for j in range(k):
-            resid -= row[j] * label[j]
+        for r, x in zip(row, label):  # row holds k + 1 coefficients, the last one diag
+            resid -= r * x
         diag = row[k]
         q = problem.boundary_q
         self.resid, self.diag, self.rank = resid, diag, 0
         if gen == "se":
-            c = min(max(resid / diag, -_FLOAT_MAX), _FLOAT_MAX)  # clamped like the vb interval
+            c = resid / diag  # clamped like the vb interval; a NaN passes through
+            if c > _FLOAT_MAX:
+                c = _FLOAT_MAX
+            elif c < -_FLOAT_MAX:
+                c = -_FLOAT_MAX
             a = math.floor(c + 0.5)  # nearest integer, half-way ties rounded up
             self.delta = 1 if (c - a) >= 0 else -1
             self.a, self.hi = a, None
@@ -482,10 +482,10 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
     """Iterative best-first search with a running threshold.
 
     Walks one path through a memoized node tree: each node record holds its
-    child generator, a memo of (coord, child record) per child rank, and its
-    own path metric g and cost f, so each child is evaluated once per decode
-    and a revisit reads the memo.  The threshold T moves in multiples of
-    `step`: it is tightened when a node is visited for the first time and
+    child generator, a memo of its child records by rank, and its own path
+    metric g, cost f and coordinate, so each child is evaluated once per
+    decode and a revisit reads the memo.  The threshold T moves in multiples
+    of `step`: it is tightened when a node is visited for the first time and
     relaxed when neither a forward nor a backward move (which needs the
     parent's f within T) is possible.  Terminates at the first leaf whose
     cost is within T.
@@ -499,33 +499,37 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
     limit = INF if node_budget is None else node_budget
 
     # the path: its labels and its node records [generator (None until entered),
-    # memo, rank of the candidate child, g, f]; memo[r] is (coord, child record)
-    # for the rank-r child, or None once the order is exhausted
+    # memo, rank of the child the path went through, g, f, coord]; memo[r] is
+    # the rank-r child record, or None once the order is exhausted.  The rank
+    # under consideration is the local `rank`, written to a record only when
+    # the walk moves forward from it, so a backward move resumes after it.
     path = []
-    node = [_Children(problem, path), [], 0, 0.0, 0.0]
+    node = [_Children(problem, path), [], 0, 0.0, 0.0, None]
+    memo = node[1]
     nodes = [node]
     unique = 1  # the root and each distinct node entered
     t_mult = 0  # threshold T = t_mult * step: always an exact multiple
     T = t_mult * step
-    evals = k = 0
+    T_low = T - step  # a parent f above it marks its child's first visit
+    evals = k = rank = 0
 
     while evals < limit:
-        kids, memo, rank, g, _ = node
         if rank < len(memo):
-            entry = memo[rank]
+            child = memo[rank]
         else:  # each (node, rank) is evaluated once
+            kids = node[0]
             got = kids.peek(INF, True)
             kids.rank += 1
             if got is None:
-                entry = None
+                child = None
             else:
-                g += got[1]
-                entry = (got[0], [None, [], 0, g, g - bias * (k + 1)])
-            memo.append(entry)
+                cg = node[3] + got[1]
+                child = [None, [], 0, cg, cg - bias * (k + 1), got[0]]
+            memo.append(child)
         evals += 1
-        if entry is not None and entry[1][4] <= T:
-            coord, child = entry
-            path.append(coord)
+        if child is not None and child[4] <= T:
+            node[2] = rank
+            path.append(child[5])
             nodes.append(child)
             k += 1
             f = child[4]
@@ -534,25 +538,30 @@ def fano_decode(problem: TreeProblem, bias=1.0, step=1.0, node_budget=None, on_n
             if k == m:
                 unique += 1
                 break
-            if node[4] > T - step:  # first visit: pull T down as far as allowed
+            if node[4] > T_low and f <= (t_mult - 1) * step:
+                t_mult -= 1  # first visit: pull T down as far as allowed
                 while f <= (t_mult - 1) * step:
                     t_mult -= 1
-                    T = t_mult * step
+                T = t_mult * step
+                T_low = T - step
             if child[0] is None:
                 child[0] = _Children(problem, path)
                 unique += 1
-            child[2] = 0
             node = child
+            memo = child[1]
+            rank = 0
         elif k == 0 or nodes[k - 1][4] > T:
             t_mult += 1  # cannot move back: relax and look forward again
             T = t_mult * step
-            node[2] = 0
+            T_low = T - step
+            rank = 0
         else:
             path.pop()  # move back, try the next-best sibling
             nodes.pop()
             k -= 1
             node = nodes[k]
-            node[2] += 1
+            memo = node[1]
+            rank = node[2] + 1
 
     budget_hit = k < m  # the walk ends at a leaf unless the budget runs out first
     return _finish(problem, "fano", None if budget_hit else tuple(path), nodes[-1][3], evals,

@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 import latdec
-from latdec.lattice import UnimodularRecord, construction_a, lll_reduce
+from latdec.lattice import (UnimodularRecord, _exact_matmul, _int_array, construction_a,
+                            lll_reduce)
 from latdec.linalg import qr_decompose
 from latdec.preprocess import left_preprocess, vblast_greedy_order
 from reference import (SingularDiagonal, compose_left, gso, hnf_transform, int_det,
@@ -155,6 +157,69 @@ def test_record_products_exact_beyond_int64():
     rec = UnimodularRecord(T=np.array([[1, -low], [0, 1]], dtype=object),
                            T_inv=np.array([[1, low], [0, 1]]))
     assert rec.inverse_times([0, 2]).tolist() == [2 * low, 2]
+
+
+def test_record_is_read_only_and_keeps_its_own_copies():
+    # the bound is decided at construction, so nothing may change the entries
+    T_inv = np.array([[1, -3], [0, 1]])
+    rec = UnimodularRecord(T=np.array([[1, 3], [0, 1]]), T_inv=T_inv)
+    for arr in (rec.T, rec.T_inv, rec.permuted([1, 0]).T, rec.permuted([1, 0]).T_inv):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.T_inv = np.eye(2, dtype=np.int64)
+    T_inv[0, 1] = -2**40  # the caller's array is not the record's
+    assert rec.T_inv.tolist() == [[1, -3], [0, 1]] and rec.bound == 6.0
+
+
+def _back_map_cases():
+    """(record, label) pairs around the int64 decision of inverse_times."""
+    a = 2**30  # n * max|T_inv| = 2**31: a label bound of 2**31 puts the product at 2**62
+    rec = UnimodularRecord(T=np.array([[1, a], [0, 1]]), T_inv=np.array([[1, -a], [0, 1]]))
+    for z in (2**31 - 1, 2**31, 2**31 + 1):  # just below, at and above 2**62
+        yield rec, [z, 1]
+        yield rec, [1, -z]
+    # the product is taken in floats, as _exact_matmul takes it: 2**62 - 1
+    # rounds up to 2**62, the largest float below it is 2**62 - 2**9
+    for z in (2**62 - 2**9, 2**62 - 1):
+        yield UnimodularRecord.identity(1), [z]
+    for z in (-2**63, 2**63, 10**400):  # int64's least value, one past int64, past the floats
+        yield rec, [0, z]
+        yield UnimodularRecord.identity(2), [z, 1]
+    obj = UnimodularRecord(T=np.array([[1, 10**19], [0, 1]], dtype=object),
+                           T_inv=np.array([[1, -10**19], [0, 1]], dtype=object))
+    yield obj, [1, 1]
+    yield obj, [2**70, -3]
+    perm = UnimodularRecord(T=np.array([[2, 1, 0], [1, 1, 0], [0, 0, 1]]),
+                            T_inv=np.array([[1, -1, 0], [-1, 2, 0], [0, 0, 1]])).permuted([2, 0, 1])
+    yield perm, [5, -7, 11]
+    yield perm, [2**61, 0, 0]
+    yield UnimodularRecord.identity(4), [3, -1, 0, 2]
+
+
+def test_back_map_decides_as_the_exact_product():
+    # the int64 bound decided once per record takes the decision that
+    # _exact_matmul takes on every call: the same values and the same dtype
+    paths = set()
+    for rec, z in _back_map_cases():
+        got, want = rec.inverse_times(z), _exact_matmul(rec.T_inv, _int_array(z))
+        assert got.dtype == want.dtype, (rec.T_inv.tolist(), z)
+        assert got.tolist() == want.tolist()
+        paths.add(str(got.dtype))
+    assert paths == {"int64", "object"}
+
+
+def test_a_permuted_record_keeps_the_bound_of_a_fresh_one():
+    for rec in (UnimodularRecord.identity(3),
+                UnimodularRecord(T=np.array([[1, 5, 0], [0, 1, 0], [0, 0, 1]]),
+                                 T_inv=np.array([[1, -5, 0], [0, 1, 0], [0, 0, 1]])),
+                UnimodularRecord(T=np.eye(3, dtype=object), T_inv=np.eye(3, dtype=object))):
+        for perm in itertools.permutations(range(3)):
+            got = rec.permuted(list(perm))
+            fresh = UnimodularRecord(T=rec.T[list(perm)], T_inv=rec.T_inv[:, list(perm)])
+            assert got.bound == fresh.bound
+            assert np.array_equal(got.T, fresh.T) and np.array_equal(got.T_inv, fresh.T_inv)
+            assert got.T_inv.dtype == fresh.T_inv.dtype and got.verify()
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,69 @@ def test_every_generated_config_fails_naming_a_field_or_decodes():
         assert all(rep.points[0].trials == 1 for rep in reports)
 
 
+def _flag_product_sample():
+    """A fixed sample of the generated configs that parse, one per decoder:
+    the i-th decoder of sim.DECODERS runs on the i-th small channel (the
+    next one where none of its configs parses), as its config number
+    37 * i + 11 there (modulo their count), at 0 dB over 16 frames, so
+    that frames fail."""
+    groups = {}
+    for d in _generated_configs():
+        try:
+            sim.parse_config(d)
+        except ConfigError:
+            continue
+        groups.setdefault((d["decoder"]["name"], json.dumps(d["channel"])), []).append(d)
+    sample = []
+    for i, name in enumerate(sim.DECODERS):
+        group = next(groups[key] for j in range(len(SMALL_CHANNELS))
+                     if (key := (name, json.dumps(SMALL_CHANNELS[(i + j) % len(SMALL_CHANNELS)])))
+                     in groups)
+        sample.append(dict(group[(37 * i + 11) % len(group)], snr_grid_db=[0.0], trials=16))
+    return sample
+
+
+def test_sampled_configs_run_under_every_flag(tmp_path, capsys):
+    # the north star's flag product on a sample: two workers write the one
+    # worker's CSV and dump, and `latdec decode --trace` replays each dumped
+    # decode to the sweep's label and n_c, with one trace line per node the
+    # decode counted (a tree search: n_c less one untraced root per attempt;
+    # Fano: each distinct node entered, the root aside; ml traces nothing)
+    sample = _flag_product_sample()
+    static = {(d["channel"]["type"], d["fixed_channel"]) for d in sample}
+    assert len(sample) == len(sim.DECODERS) and {("isi", False), ("vblast", False)} <= static
+    budget_hits = replays = 0
+    for n, d in enumerate(sample):
+        cfg = sim.parse_config(d)
+        dumps, csv = [], []
+        for workers in (1, 2):
+            out = tmp_path / f"c{n}w{workers}"
+            rep = sim.run_sweep(cfg, workers=workers, collect_frames=True,
+                                dump_failures=str(out))
+            csv.append(rep.to_csv())
+            dumps.append({p.name: p.read_text() for p in out.glob("*.json")})
+        assert csv[0] == csv[1] and dumps[0] == dumps[1] and dumps[0], d
+        budget_hits += rep.points[0].budget_hits
+        frames = {(point, frame): (nc, uniq, list(info))
+                  for point, frame, _err, nc, uniq, _dist, info in rep.frames}
+        for name in sorted(dumps[0]):
+            point, frame = map(int, re.match(r"fail_p(\d+)_f(\d+)_d0", name).groups())
+            nc, uniq, info = frames[point, frame]
+            assert cli.main(["decode", str(tmp_path / f"c{n}w1" / name), "--trace"]) == 0
+            out = capsys.readouterr().out
+            res = json.loads(out[out.index("{"):])
+            lines = [line.split("\t") for line in out[:out.index("{")].splitlines()]
+            assert (res["decoded_info"], res["node_generations"]) == (info, nc), (d, name)
+            if cfg.decoder.name == "ml":
+                assert lines == []
+            elif cfg.decoder.name == "fano":
+                assert len({label for _, label, *_ in lines}) == uniq - 1
+            else:
+                assert len(lines) == nc - res["restarts"] - 1
+            replays += 1
+    assert budget_hits > 0 and replays >= len(sample)
+
+
 def test_ml_parses_up_to_the_enumeration_guard():
     # 4^10 = ENUM_GUARD labels, and the 2^16 codewords an ISI code still lists
     for channel in ({"type": "vblast", "M": 10, "N": 10, "Q": 2},
