@@ -11,6 +11,9 @@ import numpy as np
 from .errors import RankDeficient
 
 QR_TOL = 1e-10  # relative rank threshold on the R diagonal
+# |x| < 2^SAFE_EXPONENT and x^2 stay finite, and 2^-SAFE_EXPONENT and its
+# square stay normal, with 1/QR_TOL to spare
+SAFE_EXPONENT = 400
 
 
 def qr_decompose(A):
@@ -38,10 +41,19 @@ def full_rank(A, R):
     largest column norm.  False when A or R has a NaN or an infinite entry."""
     if A.shape[1] == 0 or R.shape[0] < A.shape[1]:
         return False
+    # |r_11| is the norm of A's first column, within 1/QR_TOL of the largest
+    # when the rule holds.  Past SAFE_EXPONENT the squares of A could under-
+    # or overflow, so the rule is taken of A 2^-e and R 2^-e, an exact scale
+    # that puts A's largest |entry| in [1/2, 1) (NaN and inf keep e = 0)
+    e = 0
+    if not -SAFE_EXPONENT < math.frexp(R[0, 0])[1] < SAFE_EXPONENT:
+        e = math.frexp(np.abs(A).max())[1]
+        A = np.ldexp(A, -e)
     # the largest column norm: sqrt is correctly rounded and monotone, so
     # sqrt(max) is max(sqrt), the value np.linalg.norm(A, axis=0).max() gives
     scale = math.sqrt((A * A).sum(axis=0).max())
-    return 0.0 < scale < math.inf and np.abs(R.diagonal()).min() >= QR_TOL * scale  # NaN: False
+    return 0.0 < scale < math.inf and \
+        math.ldexp(np.abs(R.diagonal()).min(), -e) >= QR_TOL * scale  # NaN: False
 
 
 def complex_to_real_matrix(M):

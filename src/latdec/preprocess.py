@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IncompatibleBoundary, RankDeficient
 from .lattice import LatticeCode, UnimodularRecord
-from .linalg import full_rank, qr_decompose, triangular_columns
+from .linalg import SAFE_EXPONENT, full_rank, qr_decompose, triangular_columns
 
 LEFT_MODES = ("zf", "mmse")
 RIGHT_MODES = ("none", "lll", "permute", "lll+permute")
@@ -87,6 +87,9 @@ def vblast_greedy_order(A):
     R = np.linalg.qr(A, mode="r")
     if not full_rank(A, R):
         raise RankDeficient("ordering needs full column rank")
+    e = math.frexp(R[0, 0])[1]
+    if not -SAFE_EXPONENT < e < SAFE_EXPONENT:  # P, about 1/r_ii^2, would under- or overflow
+        R = np.ldexp(R, -e)  # an exact scale, which leaves the order as it is
     R_inv = np.linalg.inv(R)
     P = R_inv @ R_inv.T
     remaining = list(range(m))
@@ -135,7 +138,8 @@ def right_preprocess(A, mode="none", lll_delta=0.99, lll_deep=False):
 
 
 def apply_back_map(label, back_map):
-    """Map a search label back to the information vector (an int array).
+    """Map a search label back to the information vector: an int array, or
+    an object array of Python ints when an entry lies past int64.
 
     The label is in level order (level 1 first); the integer inverse of the
     basis change, the UnimodularRecord back_map, is applied exactly.  Lattice
@@ -144,7 +148,10 @@ def apply_back_map(label, back_map):
     counts as a frame error.
     """
     info = back_map.inverse_times(list(label)[::-1])  # physical coordinate order
-    return np.asarray(info, dtype=int)
+    try:
+        return np.asarray(info, dtype=int)
+    except OverflowError:  # past int64: the exact integers as they are
+        return info
 
 
 def level_rows(R):

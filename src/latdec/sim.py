@@ -8,13 +8,14 @@ regardless of the worker count; the stopping rule is evaluated at fixed
 chunk boundaries for the same reason.
 
 A chunk of frames runs in stages: sample every frame; on a static channel
-with exhaustive ML (an `ml` config or the shadow oracle), narrow the ML
-plan to each frame's shortlist (oracle.MlPlan.narrow); then, frame by
-frame and config by config, the plan (one per preprocessing, kept for the
-chunk on a static channel and rebuilt per frame on a fading one), the
-frame's problem, the decode and the shadow-oracle check; last, the tally
-of each config over the whole chunk, on the stacked decoded and true
-labels.
+with exhaustive ML (an `ml` config or the shadow oracle), narrow one ML
+plan, in one pass, to each frame's shortlist (oracle.MlPlan.narrow), where
+a fading channel leaves each exhaustive ML call to build its own; then,
+frame by frame and config by config, the tree plan (one per preprocessing,
+kept for the chunk on a static channel and rebuilt per frame on a fading
+one), the frame's problem, the decode and the shadow-oracle check; last,
+the tally of each config over the whole chunk, on the stacked decoded and
+true labels.
 
 Frame errors count any difference in the information symbols; bit errors
 use the natural binary map of each symbol value (decoded symbols outside
@@ -35,6 +36,7 @@ import numpy as np
 
 from . import channels, oracle, search
 from .errors import ConfigError, DimensionMismatch, RankDeficientCode
+from .linalg import complex_to_real_matrix, full_rank
 from .preprocess import (BOUNDARIES, BOX_RIGHT_MODES, LEFT_MODES, RIGHT_MODES, apply_back_map,
                          prepare_tree)
 
@@ -131,6 +133,14 @@ def _numbers(value, test):
     return isinstance(value, (list, tuple)) and all(_is_number(v) and test(v) for v in value)
 
 
+def _linear_snr(db):
+    """10^(db/10), the linear SNR of db decibels; inf where it overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _octal(value):
     return _is_int(value) and set(str(value)) <= set("01234567")  # False when negative
 
@@ -177,6 +187,10 @@ def _ld_config(M, N, T, Q=2, generator=None, generator_seed=None):
             raise ConfigError(f"ld channel field 'generator' must be M*T x M*T [re, im] pairs "
                               f"of finite numbers, shape {(M * T, M * T, 2)}, got {generator!r}")
         gen_c = gen[..., 0] + 1j * gen[..., 1]
+        real = complex_to_real_matrix(gen_c)
+        if not full_rank(real, np.linalg.qr(real, mode="r")):
+            raise ConfigError(f"ld channel field 'generator' must have full rank under the rank "
+                              f"rule of QR, got {generator!r}")
     return channels.LdCodeConfig(generator_c=gen_c, M=M, N=N, T=T, Q=Q)
 
 
@@ -321,7 +335,8 @@ _CONFIG_FIELD_RULES = {
     "channel": ("an object", lambda v: isinstance(v, dict)),
     "preproc": ("an object or null", lambda v: v is None or isinstance(v, dict)),
     "decoder": ("an object", lambda v: isinstance(v, dict)),
-    "snr_grid_db": ("a list of finite numbers", lambda v: _numbers(v, math.isfinite)),
+    "snr_grid_db": ("a list of numbers whose linear SNR 10^(dB/10) is a positive finite float",
+                    lambda v: _numbers(v, lambda db: 0.0 < _linear_snr(db) < math.inf)),
     "trials": _at_least(0),
     "target_frame_errors": ("an integer >= 1 or null",
                             lambda v: v is None or _is_int(v) and v >= 1),
@@ -340,6 +355,14 @@ def parse_config(d):
     cfg.decoder = parse_decoder(cfg.decoder)
     cfg.snr_grid_db = tuple(float(s) for s in cfg.snr_grid_db)
     kind = _KIND_OF_CONFIG[type(cfg.channel)]
+    if kind is CHANNELS["isi"]:  # the channel as sampled: sqrt(rho) taps
+        taps = cfg.channel.taps
+        for rho in map(_linear_snr, cfg.snr_grid_db):
+            if not any(math.sqrt(rho) * t for t in taps) \
+                    or rho * sum(t * t for t in taps) == math.inf:
+                raise ConfigError(f"isi channel field 'taps' must keep sqrt(rho) taps, rho = "
+                                  f"10^(dB/10) at each point of 'snr_grid_db', not all zero, "
+                                  f"and rho times their sum of squares finite, got {list(taps)}")
     _check_preproc(cfg.preproc, kind, cfg.channel)
     labels = kind.labels(cfg.channel)
     check_decoder(cfg.decoder, cfg.preproc, kind.dim(cfg.channel), labels)
@@ -386,8 +409,9 @@ def decode_frame(instance, problem, dec: DecoderSpec, on_node=None):
 
     problem is the frame's TreeProblem for a tree search; for exhaustive
     ML it is an oracle.MlPlan of the frame's channel, the frame's own plan
-    from MlPlan.narrow (the same decision from its shortlist), or None to
-    build a plan for this call only.
+    from MlPlan.narrow (the same decision from its shortlist, what a sweep
+    passes on a static channel), or None to build a plan for this call
+    only (what it passes on a fading one).
     Every branch-and-bound decoder runs through search.restart_schedule,
     which relaxes a finite bound while the search space is empty and makes
     one attempt otherwise.  on_node goes to the tree search, which calls it
@@ -508,22 +532,20 @@ def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limi
     frame_ids = range(start, start + count)
     insts = [sample(ch_cfg, channels.frame_rng(base.seed, point_idx, frame), **sample_kwargs)
              for frame in frame_ids]
-    plans = {}  # TreePlans keyed by PreprocSpec, shared between configs; "ml": MlPlan
+    plans = {}  # TreePlans keyed by PreprocSpec, shared between configs
     static_channel = base.fixed_channel or kind.static
-    shortlists = None  # on a static channel, each frame's narrowed MlPlan
+    ml_plans = [None] * count  # None: exhaustive_ml builds the plan for its own call
     if static_channel and any(c.decoder.name == "ml" or c.shadow_oracle for c in cfgs):
-        shortlists = _ml_plan(plans, insts[0]).narrow([inst.received for inst in insts])
+        ml_plans = oracle.MlPlan(insts[0].H, insts[0].code).narrow([i.received for i in insts])
     results = [[] for _ in cfgs]
     shadow = [0] * len(cfgs)
-    for fi, inst in enumerate(insts):
+    for inst, ml_plan in zip(insts, ml_plans):
         ml_dist = None  # the frame's ML distance, from an ml decode or one oracle call
-        if shortlists:
-            plans["ml"] = shortlists[fi]
-        elif not static_channel:
+        if not static_channel:
             plans.clear()
         for ci, cfg in enumerate(cfgs):
             if cfg.decoder.name == "ml":
-                problem = _ml_plan(plans, inst)
+                problem = ml_plan
             else:
                 if cfg.preproc not in plans:
                     plans[cfg.preproc] = cfg.preproc.plan(inst.H, inst.code)
@@ -532,11 +554,10 @@ def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limi
             results[ci].append(res)
             if cfg.decoder.name == "ml":
                 ml_dist = res.distance
+            elif cfg.shadow_oracle and ml_dist is None:
+                ml_dist = oracle.exhaustive_ml(inst, ml_plan).distance
             if cfg.shadow_oracle:
-                if ml_dist is None:
-                    ml_dist = oracle.exhaustive_ml(inst, _ml_plan(plans, inst)).distance
-                d_dec = _channel_distance(inst, res.info)
-                shadow[ci] += d_dec > ml_dist * (1 + 1e-9) + 1e-9
+                shadow[ci] += _channel_distance(inst, res.info) > ml_dist * (1 + 1e-9) + 1e-9
     # tally; the configs share the channel, so Q and info_len hold for all
     q, bits = base.channel.Q, _bits_per_symbol(base.channel.Q)
     info_len = insts[0].info_len or insts[0].code.dim
@@ -559,13 +580,6 @@ def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limi
     failing = np.argwhere(np.array(errs).T)[:dump_limit]  # in (frame, config) order
     failures = [(point_idx, start + f, ci, insts[f].to_json()) for f, ci in failing.tolist()]
     return stats, frames, failures
-
-
-def _ml_plan(plans, inst):
-    """The MlPlan of the frame's channel, kept in plans like the TreePlans."""
-    if "ml" not in plans:
-        plans["ml"] = oracle.MlPlan(inst.H, inst.code)
-    return plans["ml"]
 
 
 _SHARED_FIELDS = ("channel", "seed", "snr_grid_db", "trials", "target_frame_errors",

@@ -894,11 +894,14 @@ def run_frames_per_decode(cfgs, snr_db, point_idx, start, count, collect_frames,
         inst = sample(ch_cfg, rng, **sample_kwargs)
         info_len = inst.info_len or inst.code.dim
         ml_res = None
+        ml_plan = None  # the frame's own MlPlan, built when a config first needs it
         if not static_channel:
             plans.clear()
         for ci, cfg in enumerate(cfgs):
+            if (cfg.decoder.name == "ml" or cfg.shadow_oracle) and ml_plan is None:
+                ml_plan = oracle.MlPlan(inst.H, inst.code)
             if cfg.decoder.name == "ml":
-                problem = sim._ml_plan(plans, inst)
+                problem = ml_plan
             else:
                 if cfg.preproc not in plans:
                     plans[cfg.preproc] = cfg.preproc.plan(inst.H, inst.code)
@@ -915,7 +918,7 @@ def run_frames_per_decode(cfgs, snr_db, point_idx, start, count, collect_frames,
             st.budget_hits += int(res.budget_hit)
             if cfg.shadow_oracle:
                 if ml_res is None:
-                    ml_res = oracle.exhaustive_ml(inst, sim._ml_plan(plans, inst))
+                    ml_res = oracle.exhaustive_ml(inst, ml_plan)
                 d_dec = sim._channel_distance(inst, res.info)
                 if d_dec > ml_res.distance * (1 + 1e-9) + 1e-9:
                     st.shadow_disagreements += 1

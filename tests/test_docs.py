@@ -5,7 +5,8 @@ and README lists each decoder's parameters; both must equal
 ``sim.DECODERS``.  Both also list each channel type's fields, which must
 equal ``sim.CHANNELS``.  README's decoder table, the paper's
 classification, must equal its rendering from the ``search.policy_*``
-factories and from the acceptance tests that run each decoder.
+factories and from the acceptance tests that run each decoder.  README's
+library example runs, and its CSV column block equals ``sim.CSV_COLUMNS``.
 
 The library keeps only what runs: every module-level function and class
 in ``src/latdec`` has a reader in the library, in ``benchmarks/`` or in
@@ -58,6 +59,21 @@ def test_readme_lists_each_decoders_parameters():
                           if kind.fields}
 
 
+def _readme_library_example():
+    return re.search(r"## Library use\s*```python\n(.*?)```", _readme(), re.S).group(1)
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(_readme_library_example(), README, "exec"), {})
+    assert capsys.readouterr().out.strip()  # the trace lines it prints
+
+
+def test_readme_lists_the_csv_columns():
+    # the block after "`simulate` writes a CSV with the columns"
+    block = re.search(r"writes a CSV with the columns\s*```\n(.*?)```", _readme(), re.S).group(1)
+    assert block.replace(",\n", ",").strip().split(",") == sim.CSV_COLUMNS
+
+
 def _channel_fields():
     return [(typ, list(kind.rules)) for typ, kind in sim.CHANNELS.items()]
 
@@ -97,8 +113,7 @@ def _reader_statements():
     README's library example as one statement."""
     library = [path for path in sorted(glob.glob(os.path.join(ROOT, "src", "latdec", "*.py")))
                if os.path.basename(path) != "__init__.py"]
-    example = re.search(r"## Library use\s*```python\n(.*?)```", _readme(), re.S).group(1)
-    statements = [(False, ast.parse(example))]
+    statements = [(False, ast.parse(_readme_library_example()))]
     for path in library + sorted(glob.glob(os.path.join(ROOT, "benchmarks", "*.py"))):
         with open(path) as fh:
             statements += [(path in library, stmt) for stmt in ast.parse(fh.read()).body]

@@ -54,6 +54,24 @@ def test_one_rank_rule_serves_qr_and_the_ordering(small, ok):
                 fn(A)
 
 
+@pytest.mark.parametrize("s", [1e-200, 1e200, 1e-300, 1e300])
+def test_rank_rule_is_free_of_the_scale(s):
+    # the squares of s under- or overflow, so the rule takes A 2^-e and
+    # R 2^-e, an exact scale: s I has full rank, a rank-one s A does not
+    A = s * np.eye(2)
+    assert full_rank(A, np.linalg.qr(A, mode="r"))
+    Q, R = qr_decompose(A)
+    assert np.array_equal(R, A) and np.array_equal(Q, np.eye(2))
+    assert vblast_greedy_order(A) == [0, 1]
+    skew = s * np.array([[1.0, 0.5], [0.0, 0.25]])
+    assert vblast_greedy_order(skew) == vblast_greedy_order(np.array([[1.0, 0.5], [0.0, 0.25]]))
+    flat = s * np.array([[1.0, 1.0], [1.0, 1.0]])
+    assert not full_rank(flat, np.linalg.qr(flat, mode="r"))
+    for fn in (qr_decompose, vblast_greedy_order):
+        with pytest.raises(RankDeficient):
+            fn(flat)
+
+
 def test_qr_randomized_properties():
     rng = np.random.default_rng(0)
     for _ in range(1000):

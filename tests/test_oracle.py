@@ -1,6 +1,7 @@
 import itertools
 import sys
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -81,7 +82,8 @@ def test_ml_plan_reused_on_static_isi_channel_matches_reference(snr_db):
         if plan is None:
             plan = oracle.MlPlan(inst.H, inst.code)
         _assert_plan_matches_reference(inst, plan)
-    assert sum(len(X) for X, _ in plan.blocks) == len(inst.code.info_set.labels)
+    assert _stores_no_outputs(plan)
+    assert sum(len(X) for X, _ in plan.iter_blocks()) == len(inst.code.info_set.labels)
 
 
 def test_ml_plan_on_fixed_vblast_hypercube_matches_reference():
@@ -94,47 +96,46 @@ def test_ml_plan_on_fixed_vblast_hypercube_matches_reference():
             if plan is None:
                 plan = oracle.MlPlan(inst.H, inst.code)
             _assert_plan_matches_reference(inst, plan)
-        assert plan.blocks is None  # a hypercube is enumerated per call
+        assert _stores_no_outputs(plan)
 
 
-def _block_arrays(plan, inst):
-    """The arrays each block of an exhaustive_ml call works on: its float
-    labels, its noiseless outputs and its residuals."""
-    base = inst.received - plan.offset
-    for X, outputs in plan.iter_blocks():
-        yield from (X.astype(float), outputs, base - outputs)
+def _stores_no_outputs(plan):
+    """A full plan holds no candidate and no output: its arrays are D and
+    the offset, and it has no shortlist."""
+    arrays = {k for k, v in vars(plan).items() if isinstance(v, np.ndarray)}
+    return arrays == {"D", "offset"} and plan.shortlist is None
 
 
-def test_ml_plan_forms_explicit_blocks_once_in_arrays_under_64_kib():
-    # an explicit plan holds its blocks, read-only, from construction on; a
-    # hypercube plan holds none.  Every per-call array stays under 64 KiB with
-    # room for the allocator's header, so that freeing it never trims the heap
-    # and no call faults its pages in again
+def test_full_ml_plan_stores_no_outputs_and_forms_blocks_under_64_kib():
+    # a full plan forms each block when a call reaches it: an explicit
+    # code's labels by slice, a hypercube's from their indices.  Every
+    # array of a call stays under 64 KiB, so that freeing it never trims
+    # the heap and no call faults its pages in again
     cfg = latdec.IsiConfig(taps=ISI_TAPS, frame_len=24, gen_polys=(5, 7), rho=10.0)
     insts = [latdec.build_isi_instance(cfg, latdec.frame_rng(9, 1, f)) for f in range(3)]
     plan = oracle.MlPlan(insts[0].H, insts[0].code)
-    assert len(plan.blocks) == 4  # 1024 codewords of 28 outputs, 288 rows a block
-    for X, outputs in plan.blocks:
-        for a in (X, outputs):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 0
+    assert _stores_no_outputs(plan)
+    blocks = list(plan.iter_blocks())
+    assert [len(X) for X, _ in blocks] == [288, 288, 288, 160]  # 1024 codewords, 28 outputs
+    assert np.array_equal(np.vstack([X for X, _ in blocks]), insts[0].code.info_set.labels)
     for inst in insts:
         _assert_plan_matches_reference(inst, plan)
-    assert all(a.nbytes <= 2**16 - 2**10 for a in _block_arrays(plan, insts[0]))
+        _, largest = _largest_allocations(oracle.exhaustive_ml, inst, plan)
+        assert max(largest.values()) == 288 * 28 * 8  # it sees the block's outputs
 
     vblast = latdec.sample_vblast(latdec.VblastConfig(M=8, N=8, Q=2, rho=10.0),
                                   latdec.frame_rng(9, 2))
+    plan = oracle.MlPlan(vblast.H, vblast.code)
+    assert _stores_no_outputs(plan)
+    _assert_plan_matches_reference(vblast, plan)
+    _, largest = _largest_allocations(oracle.exhaustive_ml, vblast, plan)
+    assert max(largest.values()) <= oracle.BLOCK_BYTES
     m = 20  # the widest hypercube that exhaustive ML enumerates
     assert oracle.enumerable(2**m) and not oracle.enumerable(2**(m + 1))
-    widest = latdec.ChannelInstance(
-        H=np.eye(m), code=LatticeCode(np.eye(m), np.zeros(m), InfoSet("hypercube", q=2)),
-        x_true=np.zeros(m, dtype=int), received=np.zeros(m))
-    for inst in (vblast, widest):
-        plan = oracle.MlPlan(inst.H, inst.code)
-        assert plan.blocks is None
-        first_two = itertools.islice(_block_arrays(plan, inst), 6)
-        assert all(a.nbytes <= 2**16 - 2**10 for a in first_two)
-    _assert_plan_matches_reference(vblast, oracle.MlPlan(vblast.H, vblast.code))
+    code = LatticeCode(np.eye(m), np.zeros(m), InfoSet("hypercube", q=2))
+    plan = oracle.MlPlan(np.eye(m), code)
+    _, largest = _largest_allocations(lambda: list(itertools.islice(plan.iter_blocks(), 2)))
+    assert max(largest.values()) <= oracle.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("rest, order", [(0.5, None), (-1.0, None), (-1.0, "descending"),
@@ -262,13 +263,29 @@ def test_narrowing_keeps_an_exact_tie_across_blocks():
     assert not oracle.exhaustive_ml(inst, plan).label.any()
 
 
+def test_narrowing_drops_what_an_earlier_block_kept():
+    # the frame's least distance lies in the second block; the first
+    # block's least candidate was kept while the least so far was its own,
+    # and the final filter drops it
+    m = 13
+    code = LatticeCode(np.eye(m), np.zeros(m), InfoSet("hypercube", q=2))
+    plan = oracle.MlPlan(np.eye(m), code)
+    target = ((plan.rows + 5) >> np.arange(m - 1, -1, -1)) & 1
+    inst = latdec.ChannelInstance(H=np.eye(m), code=code, x_true=target,
+                                  received=target + 0.1)
+    first, _ = next(plan.iter_blocks())
+    assert len(first) == plan.rows and not (first == target).all(axis=1).any()
+    shortlist, = _assert_narrowed_match_reference([inst], plan)
+    assert shortlist == [tuple(target)]
+
+
 def test_narrowed_fixed_vblast_channel_matches_reference():
     cfg = latdec.VblastConfig(M=3, N=3, Q=4, rho=10.0)
     channel = latdec.channels.draw_mimo_channel(cfg, latdec.frame_rng(13, 0))
     insts = [latdec.sample_vblast(cfg, latdec.frame_rng(13, 0, f), channel=channel)
              for f in range(60)]
     plan = oracle.MlPlan(insts[0].H, insts[0].code)
-    assert plan.blocks is None and len(list(plan.iter_blocks())) > 1
+    assert _stores_no_outputs(plan) and len(list(plan.iter_blocks())) > 1
     _assert_narrowed_match_reference(insts, plan)
     # a batch of one frame, and of none
     _assert_narrowed_match_reference(insts[:1], plan)
@@ -287,29 +304,33 @@ def test_narrowing_hands_back_the_full_plan_without_a_finite_tolerance():
 
 
 def _largest_allocations(fn, *args):
-    """fn(*args), and per line of MlPlan.narrow and MlPlan._expanded the size
-    of the largest block of memory that it allocated and still held at the
-    next line event: every named array, and so every temporary of those
-    lines, none of which is larger than the array its line names.  A line
-    is looked at when tracemalloc's peak rose by 16 KiB or more over it."""
-    codes = {oracle.MlPlan.narrow.__code__, oracle.MlPlan._expanded.__code__}
-    lines = sorted({line for code in codes for _, _, line in code.co_lines() if line})
-    only_here = [tracemalloc.Filter(True, oracle.__file__, lineno=line) for line in lines]
+    """fn(*args), and per line that allocated it the size of the largest
+    block of memory that MlPlan.narrow, MlPlan.iter_blocks or exhaustive_ml
+    held at one of their bytecodes: every array they name, and every
+    temporary that a bytecode leaves for the next.  A bytecode is looked at
+    when tracemalloc's peak rose by 16 KiB or more over the one before."""
+    codes = [oracle.MlPlan.narrow.__code__, oracle.MlPlan.iter_blocks.__code__,
+             oracle.exhaustive_ml.__code__]
+    for code in codes:  # and the comprehensions and generator expressions in them
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    in_oracle = [tracemalloc.Filter(True, oracle.__file__, all_frames=True)]
     largest = {}
     before = [0]
 
     def look(frame, event, arg):
+        frame.f_trace_opcodes = True
         current, peak = tracemalloc.get_traced_memory()
         if peak - before[0] >= 2**14:
-            for trace in tracemalloc.take_snapshot().filter_traces(only_here).traces:
-                line = trace.traceback[0].lineno
+            for trace in tracemalloc.take_snapshot().filter_traces(in_oracle).traces:
+                line = [f.lineno for f in trace.traceback if f.filename == oracle.__file__][-1]
                 largest[line] = max(largest.get(line, 0), trace.size)
         tracemalloc.reset_peak()
         before[0] = tracemalloc.get_traced_memory()[0]
         return look
 
-    tracemalloc.start(1)
-    sys.settrace(lambda frame, event, arg: look if frame.f_code in codes else None)
+    tracemalloc.start(4)
+    sys.settrace(lambda frame, event, arg: look(frame, event, arg)
+                 if frame.f_code in codes else None)
     try:
         out = fn(*args)
     finally:
@@ -321,7 +342,8 @@ def _largest_allocations(fn, *args):
 def test_narrowing_allocates_no_array_of_64_kib():
     # freeing an array of 64 KiB or more trims the heap, and the next chunk
     # faults its pages in again; so narrowing stays in blocks like
-    # exhaustive_ml, frames in batches of BLOCK_BYTES // (8 max(rows, outputs));
+    # exhaustive_ml, frames in batches of BLOCK_BYTES // (8 max(rows, outputs)),
+    # and takes the labels' largest magnitudes without a copy of |labels|;
     # on the tall channel (400 outputs, 20 rows) the outputs bound the batch
     isi = latdec.IsiConfig(taps=ISI_TAPS, frame_len=24, gen_polys=(5, 7), rho=10.0)
     chunks = [[latdec.build_isi_instance(isi, latdec.frame_rng(14, 0, f)) for f in range(30)]]

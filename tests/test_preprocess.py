@@ -287,6 +287,17 @@ def test_back_map_passes_out_of_set_labels():
     assert contains(inst.code.info_set, apply_back_map((1, 0, 1, 0), prob.back_map))
 
 
+def test_back_map_keeps_labels_past_int64():
+    # past int64 the back map hands back the exact Python ints; within it,
+    # an int64 array as before
+    inst = latdec.sample_vblast(latdec.VblastConfig(M=2, N=2, Q=2), latdec.frame_rng(3, 0))
+    prob = form_tree(inst.received, inst.H, inst.code, "mmse", "none", "lattice")
+    big = 3 * 2**70
+    info = apply_back_map((big, 0, -big, 1), prob.back_map)
+    assert info.dtype == object and info.tolist() == [1, -big, 0, big]
+    assert apply_back_map((5, 0, 0, 0), prob.back_map).dtype == np.int64
+
+
 def test_constrained_with_lll_rejected():
     inst = latdec.sample_vblast(latdec.VblastConfig(M=2, N=2, Q=2), latdec.frame_rng(4, 0))
     with pytest.raises(IncompatibleBoundary):

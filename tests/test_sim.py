@@ -53,6 +53,8 @@ ISI_ML_CHANNEL = {"type": "isi", "taps": [0.848, -0.424, 0.2545, -0.1696, 0.0848
                   "frame_len": 12, "gen_polys": [5, 7]}
 BOX = {"left": "zf", "right": "none", "boundary": "constrained"}
 LD_1X1 = {"type": "ld", "M": 1, "N": 1, "T": 1}
+ZF_LATTICE = {"left": "zf", "right": "none", "boundary": "lattice"}
+FANO = {"name": "fano", "bias": 1.0}
 ISI_UNLISTED = {"type": "isi", "taps": [1.0, 0.5], "frame_len": 40, "gen_polys": [5, 7]}
 VBLAST_11 = {"type": "vblast", "M": 11, "N": 11, "Q": 2}
 
@@ -211,6 +213,44 @@ def test_bad_input_fails_early_naming_the_field(build, error, match):
         built = build()
         if isinstance(built, dict):
             sim.parse_config(built)
+
+
+LD_2X2_GENERATOR = {"type": "ld", "M": 1, "N": 1, "T": 2}
+ZERO_GENERATOR = [[[0, 0]] * 2] * 2
+RANK_ONE_GENERATOR = [[[1, 0], [2, 0]], [[2, 0], [4, 0]]]
+
+
+@pytest.mark.parametrize("over, field", [
+    # at -400 dB the back map lands past int64; the exact ints run through the tally
+    *[(dict(preproc=ZF_LATTICE, snr_grid_db=[-400], decoder=d), None)
+      for d in ({"name": "se"}, FANO, {"name": "babai"})],
+    # 1e-200 squares to 0: the rank rule takes the exact power-of-two scale
+    *[(dict(channel={"type": "isi", "taps": [1e-200], "frame_len": 4}, preproc=ZF_LATTICE,
+            snr_grid_db=[-10.0], decoder=d), None) for d in ({"name": "se"}, FANO)],
+    (dict(channel=dict(LD_2X2_GENERATOR, generator=ZERO_GENERATOR)), "generator"),
+    (dict(channel=dict(LD_2X2_GENERATOR, generator=RANK_ONE_GENERATOR)), "generator"),
+    (dict(snr_grid_db=[4000]), "snr_grid_db"),
+    (dict(snr_grid_db=[-4000]), "snr_grid_db"),
+    (dict(channel={"type": "isi", "taps": [1e308, 1.0], "frame_len": 4}, snr_grid_db=[10.0]),
+     "taps"),
+    # sqrt(rho) 1e-200 underflows to 0 at -3000 dB: the sampled channel is all zero
+    (dict(channel={"type": "isi", "taps": [1e-200], "frame_len": 4}, preproc=ZF_LATTICE,
+          snr_grid_db=[-3000.0]), "taps"),
+], ids=["vblast-past-int64-se", "vblast-past-int64-fano", "vblast-past-int64-babai",
+        "isi-tap-1e-200-se", "isi-tap-1e-200-fano", "ld-generator-zero",
+        "ld-generator-rank-one", "snr-4000", "snr-minus-4000", "isi-taps-1e308",
+        "isi-taps-1e-200-at-minus-3000"])
+def test_numeric_edge_fails_at_parse_naming_its_field_or_runs(over, field):
+    d = _base_config(**{"trials": 3, "seed": 1, **over})
+    if field is not None:
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            sim.parse_config(d)
+        return
+    report = sim.run_sweep(sim.parse_config(d), collect_frames=True)
+    assert report.points[0].trials == 3
+    if d["snr_grid_db"] == [-400]:
+        assert report.rows()[0]["fer"] == 1.0
+        assert max(abs(v) for rec in report.frames for v in rec[-1]) >= 2**63
 
 
 # one small channel or more of every type in sim.CHANNELS: N >= M and N < M,
@@ -548,8 +588,6 @@ def test_stopping_rule_applies_at_chunk_boundaries():
 
 
 VBLAST_4X4_Q4 = {"type": "vblast", "M": 4, "N": 4, "Q": 4}
-ZF_LATTICE = {"left": "zf", "right": "none", "boundary": "lattice"}
-FANO = {"name": "fano", "bias": 1.0}
 
 
 def _labels_outside_alphabet(stats, frames):
