@@ -3,7 +3,7 @@
 Subcommands:
   simulate <config.json>     SNR sweep; CSV to --out, machine report to --json
   compare  <config.json>...  same frames through several configs, joined CSV
-  decode   <instance.json>   replay a single exported frame (with --trace)
+  decode   <instance.json>   replay a dumped frame as the sweep decoded it (--trace)
   reduce   <basis.json>      LLL utility: {"basis": [[...]]} -> reduced + T
 
 Config schema (JSON object; unknown keys are rejected):
@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import sim
-from .channels import ChannelInstance, _fields, _record_array
+from .channels import _fields, _record_array
 from .lattice import lll_reduce
 from .search import trace_lines
 
@@ -82,14 +82,8 @@ def cmd_compare(args):
 
 
 def cmd_decode(args):
-    rec = _fields("decode record", _load_json(args.instance), ("instance", "decoder"))
-    inst = ChannelInstance.from_json(json.dumps(rec["instance"]))
-    pre = sim.parse_preproc(rec.get("preproc"))
-    dec = sim.parse_decoder(rec["decoder"])
-    sim.check_decoder(dec, pre, inst.H.shape[1], inst.code.info_set.size(inst.code.dim))
-    problem = None if dec.name == "ml" else pre.plan(inst.H, inst.code).problem_for(inst.received)
     trace = []
-    res = sim.decode_frame(inst, problem, dec, on_node=trace.append if args.trace else None)
+    inst, res = sim.replay(_load_json(args.instance), on_node=trace.append if args.trace else None)
     for line in trace_lines(trace):
         print(line)
     result = {

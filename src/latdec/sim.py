@@ -17,6 +17,9 @@ one), the frame's problem, the decode and the shadow-oracle check; last,
 the tally of each config over the whole chunk, on the stacked decoded and
 true labels.
 
+parse_config and replay (`latdec decode`) check a config on a frame, a sampled
+or a dumped one (check_frame); replay then decodes it by the sweep's own step.
+
 Frame errors count any difference in the information symbols; bit errors
 use the natural binary map of each symbol value (decoded symbols outside
 {0..Q-1} are clamped first).  Confidence intervals on the frame error rate
@@ -207,30 +210,24 @@ def _isi_config(taps, frame_len, Q=2, gen_polys=None):
 
 
 # type -> (config class, its build function from the checked fields, rules
-# of each key but "type", sampler name in channels, lattice dimension, number
-# of channel outputs (rows of H), number of code labels (None when
-# unconstrained), whether the information set is a hypercube, static)
-ChannelKind = namedtuple("ChannelKind", "config build rules sampler dim outputs labels box static")
+# of each key but "type", sampler name in channels, static)
+ChannelKind = namedtuple("ChannelKind", "config build rules sampler static")
 _MIMO_RULES = {"M": _at_least(1), "N": _at_least(1), "Q": _at_least(2)}
 CHANNELS = {
     "vblast": ChannelKind(channels.VblastConfig, channels.VblastConfig, _MIMO_RULES,
-                          "sample_vblast", lambda ch: 2 * ch.M, lambda ch: 2 * ch.N,
-                          lambda ch: ch.Q ** (2 * ch.M), lambda ch: True, False),
+                          "sample_vblast", False),
     "ld": ChannelKind(channels.LdCodeConfig, _ld_config,
                       {**_MIMO_RULES, "T": _at_least(1),
                        "generator": ("a list", lambda v: isinstance(v, (list, tuple))),
                        "generator_seed": _at_least(0)},
-                      "build_ld_instance", lambda ch: 2 * ch.M * ch.T, lambda ch: 2 * ch.N * ch.T,
-                      lambda ch: ch.Q ** (2 * ch.M * ch.T), lambda ch: True, False),
+                      "build_ld_instance", False),
     "isi": ChannelKind(channels.IsiConfig, _isi_config,
                        {"taps": ("a list of finite numbers, not all zero",
                                  lambda v: _numbers(v, math.isfinite) and any(v)),
                         "frame_len": _at_least(1), "Q": _at_least(2),
                         "gen_polys": ("a non-empty list of octal numbers or null",
                                       lambda v: v is None or _numbers(v, _octal) and len(v) > 0)},
-                       "build_isi_instance", lambda ch: ch.frame_len,
-                       lambda ch: ch.frame_len + len(ch.taps) - 1, channels.isi_label_count,
-                       lambda ch: ch.gen_polys is None, True),
+                       "build_isi_instance", True),
 }
 _KIND_OF_CONFIG = {kind.config: kind for kind in CHANNELS.values()}
 
@@ -262,19 +259,6 @@ def parse_preproc(d):
     return spec
 
 
-def _check_preproc(preproc, kind, channel):
-    """ConfigError naming the preproc field that prepare_tree would reject on
-    every frame of channel, a parsed channel config of kind."""
-    if preproc.boundary == "constrained" and not kind.box(channel):
-        raise ConfigError("preproc field 'boundary' 'constrained' needs a hypercube information "
-                          "set, which a coded channel ('gen_polys') does not have")
-    outputs, dim = kind.outputs(channel), kind.dim(channel)
-    if preproc.left == "zf" and outputs < dim:
-        raise ConfigError(f"preproc field 'left' 'zf' needs at least as many channel outputs as "
-                          f"lattice dimensions (N >= M), got {outputs} for {dim}; 'mmse' has no "
-                          f"such need")
-
-
 # what a decoder field must be when it is given
 _DECODER_FIELD_RULES = {
     "name": _one_of(*DECODERS),
@@ -303,24 +287,20 @@ def parse_decoder(d):
     return spec
 
 
-def _check_enumerable(field, labels):
-    """ConfigError naming field unless exhaustive ML can enumerate a code of
-    `labels` labels (None: an unconstrained information set)."""
-    if not oracle.enumerable(labels):
-        code = "an unconstrained information set" if labels is None else f"{labels} labels"
-        raise ConfigError(f"{field} enumerates the code for exhaustive ML, at most "
-                          f"{oracle.ENUM_GUARD} labels, but the code has {code}")
-
-
-def check_decoder(decoder, preproc, dim, labels):
-    """Check a parsed decoder against its preprocessing, the channel's
-    lattice dimension dim and the code's number of labels (None when
-    unconstrained); raises ConfigError naming the field.
-
-    parse_config runs this, and so does the replay of a dumped frame.
-    """
-    if decoder.name == "ml":
-        _check_enumerable("decoder 'ml'", labels)
+def check_frame(preproc, decoder, instance, shadow=False):
+    """ConfigError naming the field unless preproc, decoder and (if shadow)
+    the shadow oracle fit the shape and code of instance: constrained needs
+    a hypercube code, ZF rows >= columns of H, exhaustive ML an enumerable
+    code, m-alg/t-alg the box, bounds/weights one entry per dimension."""
+    outputs, dim = instance.H.shape
+    info_set = instance.code.info_set
+    if preproc.boundary == "constrained" and info_set.kind != "hypercube":
+        raise ConfigError("preproc field 'boundary' 'constrained' needs a hypercube information "
+                          "set, which a coded channel ('gen_polys') does not have")
+    if preproc.left == "zf" and outputs < dim:
+        raise ConfigError(f"preproc field 'left' 'zf' needs at least as many channel outputs as "
+                          f"lattice dimensions (N >= M), got {outputs} for {dim}; 'mmse' has no "
+                          f"such need")
     if DECODERS[decoder.name].needs_box and preproc.boundary != "constrained":
         raise ConfigError(f"decoder {decoder.name!r} needs the preproc field 'boundary' "
                           f"to be 'constrained'")
@@ -329,6 +309,13 @@ def check_decoder(decoder, preproc, dim, labels):
         if value is not None and len(value) != dim:
             raise ConfigError(f"decoder field {key!r} needs one entry per lattice dimension "
                               f"({dim}), got {len(value)}")
+    labels = info_set.size(dim)
+    for field_name, enumerates in (("decoder 'ml'", decoder.name == "ml"),
+                                   ("config field 'shadow_oracle'", shadow)):
+        if enumerates and not oracle.enumerable(labels):
+            code = "an unconstrained information set" if labels is None else f"{labels} labels"
+            raise ConfigError(f"{field_name} enumerates the code for exhaustive ML, at most "
+                              f"{oracle.ENUM_GUARD} labels, but the code has {code}")
 
 
 _CONFIG_FIELD_RULES = {
@@ -363,11 +350,9 @@ def parse_config(d):
                 raise ConfigError(f"isi channel field 'taps' must keep sqrt(rho) taps, rho = "
                                   f"10^(dB/10) at each point of 'snr_grid_db', not all zero, "
                                   f"and rho times their sum of squares finite, got {list(taps)}")
-    _check_preproc(cfg.preproc, kind, cfg.channel)
-    labels = kind.labels(cfg.channel)
-    check_decoder(cfg.decoder, cfg.preproc, kind.dim(cfg.channel), labels)
-    if cfg.shadow_oracle:
-        _check_enumerable("config field 'shadow_oracle'", labels)
+    rho = next(map(_linear_snr, cfg.snr_grid_db), cfg.channel.rho)  # a frame of the first point
+    frame = getattr(channels, kind.sampler)(replace(cfg.channel, rho=rho), np.random.default_rng(0))
+    check_frame(cfg.preproc, cfg.decoder, frame, shadow=cfg.shadow_oracle)
     return cfg
 
 
@@ -441,6 +426,28 @@ def _channel_distance(instance, info):
     return float(d @ d)
 
 
+def _decode_step(instance, preproc, decoder, plans, ml_plan, on_node=None):
+    """A sweep's per-frame step: plan (kept in plans) or ml_plan, problem, decode_frame."""
+    if decoder.name == "ml":
+        problem = ml_plan
+    else:
+        if preproc not in plans:
+            plans[preproc] = preproc.plan(instance.H, instance.code)
+        problem = plans[preproc].problem_for(instance.received)
+    return decode_frame(instance, problem, decoder, on_node=on_node)
+
+
+def replay(record, on_node=None):
+    """(instance, FrameResult) of the frame of a dump record (_write_failures),
+    checked as parse_config checks a config and decoded by the sweep's step."""
+    record = channels._fields("decode record", record, ("instance", "decoder"))
+    instance = channels.ChannelInstance.from_json(json.dumps(record["instance"]))
+    preproc = parse_preproc(record.get("preproc"))
+    decoder = parse_decoder(record["decoder"])
+    check_frame(preproc, decoder, instance)
+    return instance, _decode_step(instance, preproc, decoder, {}, None, on_node)
+
+
 # ---------------------------------------------------------------------------
 # the sweep engine
 
@@ -459,7 +466,8 @@ class PointStats:
     dim: int = 1
 
     def add(self, other):
-        """Add the counts of other, more frames of the same point."""
+        """Add the counts of other, more frames of the same point (and its dim)."""
+        self.dim = other.dim
         for f in fields(self):
             if f.name not in ("snr_db", "dim"):
                 setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
@@ -544,13 +552,7 @@ def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limi
         if not static_channel:
             plans.clear()
         for ci, cfg in enumerate(cfgs):
-            if cfg.decoder.name == "ml":
-                problem = ml_plan
-            else:
-                if cfg.preproc not in plans:
-                    plans[cfg.preproc] = cfg.preproc.plan(inst.H, inst.code)
-                problem = plans[cfg.preproc].problem_for(inst.received)
-            res = decode_frame(inst, problem, cfg.decoder)
+            res = _decode_step(inst, cfg.preproc, cfg.decoder, plans, ml_plan)
             results[ci].append(res)
             if cfg.decoder.name == "ml":
                 ml_dist = res.distance
@@ -572,7 +574,7 @@ def _run_frames(cfgs, snr_db, point_idx, start, count, collect_frames, dump_limi
             bit_errors=sum(int(((xor >> b) & 1).sum()) for b in range(bits)),
             info_bits=count * info_len * bits, nc_values=[r.nc for r in res],
             restarts=sum(r.restarts for r in res), budget_hits=sum(r.budget_hit for r in res),
-            shadow_disagreements=shadow[ci]))
+            shadow_disagreements=shadow[ci], dim=insts[0].code.dim))
         frames.append([(point_idx, frame, int(e), r.nc, r.unique, r.distance, tuple(info))
                        for frame, e, r, info in zip(frame_ids, err, res, dec.tolist())]
                       if collect_frames else [])
@@ -621,8 +623,7 @@ def _sweep_point(cfgs, pool, workers, point_idx, snr_db, collect_frames, reports
     trial budget or the stopping rule ends it; returns one PointStats per
     config and appends to the reports' frames and to failures."""
     base = cfgs[0]
-    dim = _KIND_OF_CONFIG[type(base.channel)].dim(base.channel)
-    stats = [PointStats(snr_db=snr_db, dim=dim) for _ in cfgs]
+    stats = [PointStats(snr_db=snr_db) for _ in cfgs]
     target = base.target_frame_errors
     start = 0
     while start < base.trials:

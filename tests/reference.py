@@ -909,6 +909,7 @@ def run_frames_per_decode(cfgs, snr_db, point_idx, start, count, collect_frames,
             res = sim.decode_frame(inst, problem, cfg.decoder)
             err = not np.array_equal(res.info, inst.x_true)
             st = stats[ci]
+            st.dim = inst.code.dim
             st.trials += 1
             st.frame_errors += int(err)
             st.bit_errors += _bit_errors(res.info, inst.x_true, cfg.channel.Q, info_len)

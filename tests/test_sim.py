@@ -270,14 +270,21 @@ FIELD_NAMES = set(sim._CONFIG_FIELD_RULES) | set(sim._PREPROC_FIELD_RULES) | \
     set(sim._DECODER_FIELD_RULES) | {k for kind in sim.CHANNELS.values() for k in kind.rules}
 
 
+def _first_frame(d):
+    """Frame 0 of the first point of config dict d, drawn as a sweep draws it."""
+    ch = sim.parse_channel(d["channel"])
+    sample = getattr(latdec.channels, sim.CHANNELS[d["channel"]["type"]].sampler)
+    return sample(replace(ch, rho=10.0 ** (d["snr_grid_db"][0] / 10.0)),
+                  latdec.frame_rng(d["seed"], 0, 0))
+
+
 def _generated_configs():
     """Every config of the product of the rule tables on the small channels:
     each decoder with its default and a tiny node budget, every preproc
     mode and flag, with and without the shadow oracle and a fixed channel."""
     assert {ch["type"] for ch in SMALL_CHANNELS} == set(sim.CHANNELS)
     for channel in SMALL_CHANNELS:
-        kind = sim.CHANNELS[channel["type"]]
-        m = kind.dim(sim.parse_channel(channel))
+        m = _first_frame(_base_config(channel=channel)).code.dim
         for name, dec in sim.DECODERS.items():
             params = {k: DECODER_SAMPLES[k](m) for k in dec.fields}
             for budget in ({}, {"budget": 3}):
@@ -319,6 +326,40 @@ def test_every_generated_config_fails_naming_a_field_or_decodes():
                     raise AssertionError(f"{cfg} raised {err!r}") from err
             raise
         assert all(rep.points[0].trials == 1 for rep in reports)
+
+
+def _field_named(call):
+    """The field that the ConfigError of call() names (its message if none);
+    None when call() returns."""
+    try:
+        call()
+    except ConfigError as err:
+        named = re.search(r"field '(\w+)'", str(err))
+        return named.group(1) if named else str(err)
+    return None
+
+
+def _record(d, instance_json=None):
+    """The dump record of config dict d's first frame (or of instance_json)."""
+    return {"instance": json.loads(instance_json or _first_frame(d).to_json()),
+            "preproc": d["preproc"], "decoder": d["decoder"]}
+
+
+def test_replay_fails_naming_the_field_parse_config_names():
+    # `latdec decode` on a config's first frame fails naming a field exactly
+    # when parsing the config does, and names the same field; a record
+    # carries neither the shadow oracle nor fixed_channel, so configs that
+    # set them are left out
+    frames, replays = {}, 0
+    for d in _generated_configs():
+        if d["shadow_oracle"] or d["fixed_channel"]:
+            continue
+        key = json.dumps(d["channel"])
+        frames.setdefault(key, _first_frame(d).to_json())
+        want = _field_named(lambda: sim.parse_config(d))
+        assert _field_named(lambda: sim.replay(_record(d, frames[key]))) == want, d
+        replays += want is None
+    assert 0 < replays
 
 
 def _flag_product_sample():
@@ -812,6 +853,17 @@ def test_cli_decode_trace_explains_every_restart(tmp_path, capsys):
     assert res.unique == res.nc == 20 and len(trace) == 9
 
 
+# configs that parse_config rejects, naming the field, whose dumped frame
+# `latdec decode` once took to a traceback from prepare_tree
+REPLAY_REPROS = [
+    (_base_config(channel={"type": "isi", "taps": [0.848, -0.424, 0.2545], "frame_len": 8,
+                           "gen_polys": [5, 7]},
+                  preproc={"left": "mmse", "right": "none", "boundary": "constrained"},
+                  snr_grid_db=[10.0]), "'boundary'"),
+    (_base_config(channel={"type": "vblast", "M": 3, "N": 2}, preproc=ZF_LATTICE), "'left'"),
+]
+
+
 def test_cli_decode_rejects_what_parse_config_rejects(tmp_path):
     # a dumped frame edited by hand must meet the same decoder checks, and a
     # record or an instance without one of its keys, or with a malformed
@@ -863,6 +915,10 @@ def test_cli_decode_rejects_what_parse_config_rejects(tmp_path):
     for key in ("H", "generator", "translate", "info_set", "x_true", "received"):
         cases.append((dict(full, instance={k: v for k, v in inst.items() if k != key}),
                       f"^missing instance field {key!r}$"))
+    for d, field in REPLAY_REPROS:
+        with pytest.raises(ConfigError, match=f"^preproc field {field}"):
+            sim.parse_config(d)
+        cases.append((_record(d), f"^preproc field {field}"))
     path = tmp_path / "frame.json"
     for rec, match in cases:
         path.write_text(json.dumps(rec))
