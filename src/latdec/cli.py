@@ -19,7 +19,8 @@ Config schema (JSON object; unknown keys are rejected):
   fixed_channel, shadow_oracle
 
 The decoder names and their parameters come from one table, sim.DECODERS;
-the channel types and their fields from another, sim.CHANNELS.
+the channel types and their fields from another, sim.CHANNELS.  A bad
+config, record or basis ends in one line, `latdec: error: ...`, status 2.
 """
 
 import argparse
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import sim
 from .channels import _fields, _record_array
+from .errors import LatdecError
 from .lattice import lll_reduce
 from .search import trace_lines
 
@@ -164,7 +166,11 @@ def main(argv=None):
     p.set_defaults(fn=cmd_reduce)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except LatdecError as err:  # a bad config, record or basis: one line, usage status
+        print(f"latdec: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
