@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import qr_decompose, triangular_columns
+from .linalg import SAFE_EXPONENT, qr_decompose, triangular_columns
 
 _INT64_SAFE = 2.0 ** 62  # int64 holds 2**63 - 1; results bounded by half that are safe
 
@@ -209,6 +209,13 @@ def lll_reduce(B, delta=0.99, deep=False):
     R = triangular_columns(B)
     if R is None:
         R = qr_decompose(B)[1].T.tolist()  # raises RankDeficient, on a non-finite entry too
+    # the loop squares entries of R; past SAFE_EXPONENT (the trigger of
+    # linalg.full_rank) it runs on R 2^-e, an exact scale that puts the
+    # largest |entry| in [1/2, 1): each step is then a ratio, comparison,
+    # hypot or a - q*b of exactly scaled values, so T is the same
+    if not -SAFE_EXPONENT < math.frexp(R[0][0])[1] < SAFE_EXPONENT:
+        e = math.frexp(max(abs(v) for col in R for v in col))[1]
+        R = [[math.ldexp(v, -e) for v in col] for col in R]
     # R[c] is column c of the triangular factor; Ti[c] is column c of T_inv
     # and T[c] row c of T, so moving a basis column moves one list each
     unit = [0] * (n - 1) + [1] + [0] * (n - 1)  # unit[n-1-c:][:n] is e_c

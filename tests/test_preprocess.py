@@ -390,6 +390,22 @@ def _oracle_bases():
         yield B, 0.75, db > 6
 
 
+def test_lll_is_free_of_an_exact_scale():
+    # past SAFE_EXPONENT the loop runs on R 2^-e: B 2^k gives B's records
+    # bit for bit, where the squares of B 2^k over- or underflow (2^700,
+    # 2^-700) and where they do not (2^450)
+    scaled = 0
+    for B, delta, deep in _oracle_bases():
+        with np.errstate(divide="ignore", invalid="ignore"):  # the NaN and inf bases
+            want = _result_or_error(lll_reduce, B, delta, deep)
+            if isinstance(want, type):
+                continue
+            for k in (-700, 450, 700):
+                _same_record(lll_reduce(np.ldexp(B, k), delta, deep)[1], want[1])
+                scaled += 1
+    assert scaled > 3000
+
+
 def _oracle_plan_streams():
     vb = latdec.VblastConfig(M=4, N=4, Q=2, rho=20.0)
     yield lambda f: latdec.sample_vblast(vb, latdec.frame_rng(43, f))

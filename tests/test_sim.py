@@ -236,10 +236,15 @@ RANK_ONE_GENERATOR = [[[1, 0], [2, 0]], [[2, 0], [4, 0]]]
     # sqrt(rho) 1e-200 underflows to 0 at -3000 dB: the sampled channel is all zero
     (dict(channel={"type": "isi", "taps": [1e-200], "frame_len": 4}, preproc=ZF_LATTICE,
           snr_grid_db=[-3000.0]), "taps"),
+    # LLL squares entries near 1e154: it runs on an exact power-of-two scale
+    (dict(snr_grid_db=[3080.0]), None),
+    (dict(channel={"type": "isi", "taps": [1.0, 0.5], "frame_len": 4},
+          preproc={"left": "mmse", "right": "lll", "boundary": "lattice"},
+          snr_grid_db=[3080.0]), None),
 ], ids=["vblast-past-int64-se", "vblast-past-int64-fano", "vblast-past-int64-babai",
         "isi-tap-1e-200-se", "isi-tap-1e-200-fano", "ld-generator-zero",
         "ld-generator-rank-one", "snr-4000", "snr-minus-4000", "isi-taps-1e308",
-        "isi-taps-1e-200-at-minus-3000"])
+        "isi-taps-1e-200-at-minus-3000", "vblast-lll-3080", "isi-lll-3080"])
 def test_numeric_edge_fails_at_parse_naming_its_field_or_runs(over, field):
     d = _base_config(**{"trials": 3, "seed": 1, **over})
     if field is not None:
