@@ -350,6 +350,12 @@ def parse_config(d):
                 raise ConfigError(f"isi channel field 'taps' must keep sqrt(rho) taps, rho = "
                                   f"10^(dB/10) at each point of 'snr_grid_db', not all zero, "
                                   f"and rho times their sum of squares finite, got {list(taps)}")
+    if kind is CHANNELS["ld"]:  # MMSE filters [sqrt(rho) H; I] G: squares of about (1 + rho) G^2
+        energy = sum(v * v for v in cfg.channel.generator_c.view(float).ravel().tolist())
+        if any((1.0 + rho) * energy == math.inf for rho in map(_linear_snr, cfg.snr_grid_db)):
+            raise ConfigError(f"ld channel field 'generator' must keep (1 + rho) times its sum of "
+                              f"squares finite, rho = 10^(dB/10) at each point of 'snr_grid_db', "
+                              f"got a sum of squares of {energy!r}")
     rho = next(map(_linear_snr, cfg.snr_grid_db), cfg.channel.rho)  # a frame of the first point
     frame = getattr(channels, kind.sampler)(replace(cfg.channel, rho=rho), np.random.default_rng(0))
     check_frame(cfg.preproc, cfg.decoder, frame, shadow=cfg.shadow_oracle)

@@ -258,6 +258,24 @@ def test_numeric_edge_fails_at_parse_naming_its_field_or_runs(over, field):
         assert max(abs(v) for rec in report.frames for v in rec[-1]) >= 2**63
 
 
+@pytest.mark.parametrize("snr_db", [-30.0, 10.0, 40.0])
+def test_ld_generator_magnitude_fails_at_parse_naming_it_or_runs(snr_db):
+    # the search squares entries of about sqrt(1 + rho) times the generator:
+    # a diagonal generator of 1e154 at 10 dB used to parse and then fail
+    # every frame with EmptySearchSpace
+    rejected = 0
+    for h in range(41):
+        g = 10.0 ** (140 + h / 2)
+        diagonal = [[[g, 0], [0, 0]], [[0, 0], [g, 0]]]
+        d = _base_config(channel=dict(LD_2X2_GENERATOR, generator=diagonal),
+                         snr_grid_db=[snr_db], trials=3, seed=1)
+        if _field_named(lambda: sim.parse_config(d)) == "generator":
+            rejected += 1
+            continue
+        assert sim.run_sweep(sim.parse_config(d)).points[0].trials == 3, g
+    assert 0 < rejected < 41
+
+
 # one small channel or more of every type in sim.CHANNELS: N >= M and N < M,
 # a hypercube and a coded information set
 SMALL_CHANNELS = [
