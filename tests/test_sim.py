@@ -474,7 +474,7 @@ def test_cli_shadow_oracle_flag_is_checked_at_parse_time(tmp_path, capsys):
 
 
 def test_cli_reports_a_config_error_in_one_line(tmp_path):
-    # the installed command, on a config with an unknown key: one stderr
+    # `python -m latdec.cli` on a config with an unknown key: one stderr
     # line naming the key, the usage status, and no traceback
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(_base_config(typo=1)))
